@@ -73,7 +73,7 @@ void BM_DataComplexity(benchmark::State& state) {
   SpatialInstance instance;
   for (int i = 0; i < n; ++i) {
     bench::Check(instance.AddRegion(
-        "R" + std::to_string(100 + i),
+        std::string("R").append(std::to_string(100 + i)),
         Unwrap(Region::MakeRect(Point(6 * i, 0), Point(6 * i + 9, 4)))));
   }
   RectQueryEngine engine = Unwrap(RectQueryEngine::Build(instance));

@@ -139,7 +139,7 @@ RunResult RunConfig(int shards, const Workload& workload,
     servers.push_back(std::make_unique<TopoDbServer>(options));
     Check(servers.back()->Start());
     router_options.shards.push_back(
-        {"s" + std::to_string(s), servers.back()->port()});
+        {std::string("s").append(std::to_string(s)), servers.back()->port()});
   }
   TopoDbRouter router(router_options);
   Check(router.Start());
@@ -275,7 +275,7 @@ struct WarmFleet {
           std::make_unique<TopoDbServer>(ShardServerOptions(params)));
       Check(servers.back()->Start());
       router_options.shards.push_back(
-          {"s" + std::to_string(s), servers.back()->port()});
+          {std::string("s").append(std::to_string(s)), servers.back()->port()});
     }
     router = std::make_unique<TopoDbRouter>(router_options);
     Check(router->Start());

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates a MetricsRegistry JSON export (schema topodb.metrics.v1/v2).
 
-Usage: check_metrics_json.py <path> [--require-semcache]
+Usage: check_metrics_json.py <path> [--require-semcache | --server]
 
 CI archives the per-stage timing export produced by bench_pipeline_batch
 (TOPODB_METRICS_JSON=<path>) and fails if the file is not well-formed JSON,
@@ -15,6 +15,13 @@ semantic-cache instrumentation (bench_query_plan's registry does not run
 the ingest pipeline, so the pipeline.* series are absent there): counters
 semcache.{hits,misses,evictions,insertions} and planner.plans, gauges
 semcache.{entries,bytes}, and the planner.plan_us histogram.
+
+--server switches them to what a TopoDbServer registry emits for inline
+COMPUTE_INVARIANT / BATCH_INVARIANTS traffic (bench_server_load's export):
+counter pipeline.items, the pipeline.*_us stage histograms and the text
+cache counters textcache.{hits,misses,insertions}. The server runs the
+pipeline without the structural InvariantCache, so the default mode's
+pipeline.cache_{hits,misses} series are absent there.
 """
 import json
 import sys
@@ -47,6 +54,12 @@ SEMCACHE_GAUGES = [
 SEMCACHE_HISTOGRAMS = [
     "planner.plan_us",
 ]
+SERVER_COUNTERS = [
+    "pipeline.items",
+    "textcache.hits",
+    "textcache.misses",
+    "textcache.insertions",
+]
 HISTOGRAM_FIELDS_V1 = ["count", "sum", "min", "max", "mean", "p50", "p90", "p99"]
 HISTOGRAM_FIELDS_V2 = HISTOGRAM_FIELDS_V1 + ["p95"]
 
@@ -57,10 +70,13 @@ def fail(message):
 
 
 def main():
-    args = [a for a in sys.argv[1:] if a != "--require-semcache"]
+    flags = ("--require-semcache", "--server")
+    args = [a for a in sys.argv[1:] if a not in flags]
     require_semcache = "--require-semcache" in sys.argv[1:]
-    if len(args) != 1:
-        fail("usage: check_metrics_json.py <path> [--require-semcache]")
+    server = "--server" in sys.argv[1:]
+    if len(args) != 1 or (require_semcache and server):
+        fail("usage: check_metrics_json.py <path> "
+             "[--require-semcache | --server]")
     try:
         with open(args[0], encoding="utf-8") as f:
             doc = json.load(f)
@@ -75,10 +91,15 @@ def main():
     for section in ("counters", "gauges", "histograms"):
         if not isinstance(doc.get(section), dict):
             fail(f"missing section {section!r}")
-    expected_counters = SEMCACHE_COUNTERS if require_semcache else EXPECTED_COUNTERS
-    expected_histograms = (
-        SEMCACHE_HISTOGRAMS if require_semcache else EXPECTED_HISTOGRAMS
-    )
+    if require_semcache:
+        expected_counters, expected_histograms = (
+            SEMCACHE_COUNTERS, SEMCACHE_HISTOGRAMS)
+    elif server:
+        expected_counters, expected_histograms = (
+            SERVER_COUNTERS, EXPECTED_HISTOGRAMS)
+    else:
+        expected_counters, expected_histograms = (
+            EXPECTED_COUNTERS, EXPECTED_HISTOGRAMS)
     for name in expected_counters:
         if name not in doc["counters"]:
             fail(f"missing counter {name!r}")

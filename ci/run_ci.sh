@@ -3,7 +3,8 @@
 #
 #   1. Configure + build + full ctest suite in build-ci/ (the same command
 #      sequence as ROADMAP.md's verify step, in a separate tree so a
-#      developer's ./build is left alone).
+#      developer's ./build is left alone), as a Release build with
+#      -Werror (TOPODB_WERROR=ON): any compiler warning fails CI.
 #   2. Smoke-run the pipeline benches (batch invariants + query evaluation
 #      + query planner/semantic cache) so their reports, verdict assertions
 #      and every strategy/thread code path execute on each CI run; any
@@ -55,8 +56,10 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
 }
 
-echo "==> tier-1: build + ctest"
-run_suite build-ci
+echo "==> tier-1: Release build with -Werror + ctest"
+# The Release build is the one that must stay warning-free: -O3 inlining
+# surfaces diagnostics (-Wrestrict, -Warray-bounds) that -O2 does not.
+run_suite build-ci -DCMAKE_BUILD_TYPE=Release -DTOPODB_WERROR=ON
 
 echo "==> bench smoke: pipeline batch + query evaluation"
 # TOPODB_BENCH_SMOKE shrinks workloads/repetitions; --benchmark_min_time
@@ -126,7 +129,8 @@ echo "==> server smoke: bench_server_load (closed loop + overload shed)"
 TOPODB_BENCH_SMOKE=1 \
 TOPODB_METRICS_JSON=ci/artifacts/server_load_metrics.json \
   ./build-ci/bench/bench_server_load --benchmark_min_time=0.01
-python3 ci/check_metrics_json.py ci/artifacts/server_load_metrics.json
+python3 ci/check_metrics_json.py ci/artifacts/server_load_metrics.json \
+  --server
 
 echo "==> bench smoke: store (catalog startup vs parse-and-rebuild)"
 # Smoke workloads are tiny so no speedup floor is enforced on the smoke

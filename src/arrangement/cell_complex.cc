@@ -136,8 +136,8 @@ class CellComplexBuilder {
                                            ? PredicateMode::kExact
                                            : PredicateMode::kFiltered);
     // Bulk-reset arena for the build's rational temporaries. Everything the
-    // complex keeps (vertex points, edge chains, dart directions) is
-    // detached before returning; the builder's own members may still hold
+    // complex keeps (vertex points, edge chains) is detached before
+    // returning; the builder's own members may still hold
     // arena-backed values when they destruct after Run returns, which is
     // safe because ~LimbVec never dereferences an arena block. Off in exact
     // mode so the oracle build shares no machinery with the fast one.
@@ -164,6 +164,7 @@ class CellComplexBuilder {
     TOPODB_RETURN_NOT_OK(PropagateFaceLabels());
     ComputeEdgeAndVertexLabels();
     if (arena.has_value()) DetachComplex();
+    ShrinkComplex();
     FlushMetrics();
     return std::move(complex_);
   }
@@ -536,6 +537,9 @@ class CellComplexBuilder {
   void BuildDartsAndRotation() {
     auto& darts = complex_.darts_;
     darts.resize(2 * complex_.edges_.size());
+    // First chain step of each dart: the rotation sort key. Build scratch
+    // only; the complex does not keep it.
+    std::vector<Point> direction(darts.size());
     for (size_t e = 0; e < complex_.edges_.size(); ++e) {
       CellComplex::Edge& edge = complex_.edges_[e];
       edge.dart0 = static_cast<int>(2 * e);
@@ -546,19 +550,18 @@ class CellComplexBuilder {
       darts[d0].edge = static_cast<int>(e);
       darts[d0].twin = d1;
       darts[d0].origin = VertexAt(chain.front());
-      darts[d0].direction = chain[1] - chain[0];
+      direction[d0] = chain[1] - chain[0];
       darts[d1].edge = static_cast<int>(e);
       darts[d1].twin = d0;
       darts[d1].origin = VertexAt(chain.back());
-      darts[d1].direction = chain[chain.size() - 2] - chain.back();
+      direction[d1] = chain[chain.size() - 2] - chain.back();
       complex_.vertices_[darts[d0].origin].darts.push_back(d0);
       complex_.vertices_[darts[d1].origin].darts.push_back(d1);
     }
     for (auto& vertex : complex_.vertices_) {
       std::sort(vertex.darts.begin(), vertex.darts.end(),
                 [&](int a, int b) {
-                  return CcwDirectionLess(darts[a].direction,
-                                          darts[b].direction);
+                  return CcwDirectionLess(direction[a], direction[b]);
                 });
       const size_t k = vertex.darts.size();
       for (size_t i = 0; i < k; ++i) {
@@ -803,7 +806,7 @@ class CellComplexBuilder {
   }
 
   // Copies every rational the finished complex owns out of the build arena
-  // (vertex coordinates, edge chain geometry, dart rotation directions);
+  // (vertex coordinates and edge chain geometry);
   // after reduction most values fit back in BigInt's inline limb buffer, so
   // this rarely allocates. Labels, indices and names hold no limb storage.
   void DetachComplex() {
@@ -817,10 +820,16 @@ class CellComplexBuilder {
         p.y.Detach();
       }
     }
-    for (auto& dart : complex_.darts_) {
-      dart.direction.x.Detach();
-      dart.direction.y.Detach();
-    }
+  }
+
+  // Releases the growth slack of the vectors the complex keeps: a complex
+  // can live as long as the process (a cached QueryEngine holds one), and
+  // push_back growth leaves up to half of each vector unused.
+  void ShrinkComplex() {
+    complex_.vertices_.shrink_to_fit();
+    complex_.edges_.shrink_to_fit();
+    complex_.faces_.shrink_to_fit();
+    for (auto& edge : complex_.edges_) edge.chain.shrink_to_fit();
   }
 
   void FlushMetrics() {

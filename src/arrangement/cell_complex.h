@@ -82,7 +82,6 @@ class CellComplex {
     int prev_ccw = -1;
     int face = -1;        // Face on the left of the dart's walk.
     int next_in_face = -1;  // Next dart of the face boundary walk.
-    Point direction;      // First chain step direction (for rotation).
   };
 
   struct Vertex {

@@ -154,7 +154,10 @@ class LimbVec {
     } else {
       bool from_arena;
       uint32_t* block = AllocateBlock(other.size_, &from_arena);
-      std::memcpy(block, other.data(), other.size_ * sizeof(uint32_t));
+      // size_ <= capacity_, so a source this long is heap-backed. Reading
+      // the heap pointer directly (not data()) also keeps GCC from
+      // assuming the copy could run past the inline buffer.
+      std::memcpy(block, other.u_.heap.ptr, other.size_ * sizeof(uint32_t));
       u_.heap.ptr = block;
       u_.heap.from_arena = from_arena;
       capacity_ = other.size_;

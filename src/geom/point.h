@@ -24,7 +24,12 @@ struct Point {
   Point operator*(const Rational& s) const { return Point(x * s, y * s); }
 
   std::string ToString() const {
-    return "(" + x.ToString() + ", " + y.ToString() + ")";
+    std::string out = "(";
+    out += x.ToString();
+    out += ", ";
+    out += y.ToString();
+    out += ")";
+    return out;
   }
 
   friend bool operator==(const Point& a, const Point& b) {

@@ -1,8 +1,9 @@
 #include "src/invariant/canonical.h"
 
 #include <algorithm>
-#include <map>
-#include <sstream>
+#include <charconv>
+#include <string>
+#include <vector>
 
 #include "src/base/check.h"
 
@@ -77,101 +78,165 @@ int FaceOf(const InvariantData& data, int d, bool mirrored) {
   return data.face_of_dart[mirrored ? InvariantData::Twin(d) : d];
 }
 
-// Deterministic traversal code of one component from a start dart.
-// Appends per-dart tokens in discovery order; fills idx (dart -> index).
-std::string FlagCode(const InvariantData& data, const Precomp& pre,
-                     int start, bool mirrored, bool include_exterior,
-                     std::vector<int>* idx_out) {
-  std::vector<int>& idx = *idx_out;
-  idx.assign(data.num_darts(), -1);
-  std::vector<int> order;
-  order.reserve(pre.darts_of_comp[pre.comp_of_dart[start]].size());
+void AppendLabel(const CellLabel& label, std::string* out) {
+  for (Sign s : label) out->push_back(SignChar(s));
+}
+
+// One orientation of the plane, with everything a flag code needs that
+// does not depend on the start dart, plus scratch reused across starts.
+struct Orientation {
+  const InvariantData& data;
+  const Precomp& pre;
+  bool mirrored;
+  const std::vector<int>& rot;  // Rotation under this orientation.
+  // Label tail of each dart's token, ";vertex;edge;face[;i/x U/B]|",
+  // concatenated: dart d's tail is tails[tail_start[d], tail_start[d+1]).
+  std::string tails;
+  std::vector<int> tail_start;
+  std::vector<int> idx;    // Dart -> discovery index; -1 between starts.
+  std::vector<int> order;  // Darts in discovery order.
+
+  Orientation(const InvariantData& d, const Precomp& p, bool mirror,
+              bool include_exterior)
+      : data(d),
+        pre(p),
+        mirrored(mirror),
+        rot(mirror ? p.prev : d.next_ccw),
+        idx(d.num_darts(), -1) {
+    const int nd = d.num_darts();
+    tail_start.reserve(nd + 1);
+    for (int dart = 0; dart < nd; ++dart) {
+      tail_start.push_back(static_cast<int>(tails.size()));
+      const int face = FaceOf(d, dart, mirror);
+      tails += ';';
+      AppendLabel(d.vertices[d.Origin(dart)].label, &tails);
+      tails += ';';
+      AppendLabel(d.edges[dart / 2].label, &tails);
+      tails += ';';
+      AppendLabel(d.faces[face].label, &tails);
+      if (include_exterior) {
+        // Mark darts on the cycle facing the component's container, and
+        // whether that container is the unbounded face. Under mirroring
+        // the dart's cycle is the one its twin traces in the original.
+        const int cyc =
+            p.cycle_of_dart[mirror ? InvariantData::Twin(dart) : dart];
+        tails += ';';
+        tails += p.cycle_is_outer[cyc] ? 'i' : 'x';
+        tails += d.faces[face].unbounded ? 'U' : 'B';
+      }
+      tails += '|';
+    }
+    tail_start.push_back(static_cast<int>(tails.size()));
+  }
+};
+
+void AppendInt(int value, std::string* out) {
+  char buf[16];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out->append(buf, end);
+}
+
+// How a start's flag code compares with the best code so far.
+enum class Order { kLess, kEqual, kGreater };
+
+// Deterministic traversal code of one component from a start dart, one
+// '|'-terminated token per dart in BFS discovery order, written to *code
+// as the BFS runs. Leaves o->idx (dart -> index) and o->order filled.
+// Each token is compared with the same stretch of *best (when given), and
+// the traversal stops as soon as the code is greater (kGreater, code
+// truncated). Token-by-token comparison decides the whole strings: all
+// codes of one component have the same number of tokens, and '|' appears
+// only as the terminator, so two codes first differ inside a token both
+// of them have (or are equal).
+Order FlagCode(Orientation* o, int start, const std::string* best,
+               std::string* code) {
+  std::vector<int>& idx = o->idx;
+  std::vector<int>& order = o->order;
+  code->clear();
+  order.clear();
   idx[start] = 0;
   order.push_back(start);
-  const std::vector<int>& rot = mirrored ? pre.prev : data.next_ccw;
+  Order cmp = best == nullptr ? Order::kLess : Order::kEqual;
   for (size_t i = 0; i < order.size(); ++i) {
     const int d = order[i];
-    for (int nb : {rot[d], InvariantData::Twin(d)}) {
+    const int twin = InvariantData::Twin(d);
+    for (int nb : {o->rot[d], twin}) {
       if (idx[nb] == -1) {
         idx[nb] = static_cast<int>(order.size());
         order.push_back(nb);
       }
     }
-  }
-  std::ostringstream os;
-  for (int d : order) {
-    const int edge = d / 2;
-    const int face = FaceOf(data, d, mirrored);
-    os << idx[rot[d]] << ',' << idx[InvariantData::Twin(d)] << ';'
-       << LabelString(data.vertices[data.Origin(d)].label) << ';'
-       << LabelString(data.edges[edge].label) << ';'
-       << LabelString(data.faces[face].label);
-    if (include_exterior) {
-      // Mark darts on the cycle facing the component's container, and
-      // whether that container is the unbounded face. Under mirroring the
-      // dart's cycle is the one its twin traces in the original.
-      const int cyc =
-          pre.cycle_of_dart[mirrored ? InvariantData::Twin(d) : d];
-      os << ';' << (pre.cycle_is_outer[cyc] ? 'i' : 'x')
-         << (data.faces[face].unbounded ? 'U' : 'B');
+    const size_t pos = code->size();
+    AppendInt(idx[o->rot[d]], code);
+    *code += ',';
+    AppendInt(idx[twin], code);
+    code->append(o->tails, o->tail_start[d],
+                 o->tail_start[d + 1] - o->tail_start[d]);
+    if (cmp == Order::kEqual) {
+      const int c = best->compare(pos, code->size() - pos, *code, pos);
+      if (c < 0) return Order::kGreater;
+      if (c > 0) cmp = Order::kLess;
     }
-    os << '|';
   }
-  return os.str();
+  return cmp;
 }
 
 // Canonical code of the subtree rooted at component comp.
-std::string TreeCode(const InvariantData& data, const Precomp& pre, int comp,
-                     bool mirrored, bool include_exterior,
-                     std::map<int, std::string>* memo) {
-  auto it = memo->find(comp);
-  if (it != memo->end()) return it->second;
-  // Children codes first (they do not depend on this component's start).
-  std::vector<std::pair<int, std::string>> kids;  // (container face, code)
+std::string TreeCode(Orientation* o, int comp) {
+  const Precomp& pre = o->pre;
+  // Children codes first (they do not depend on this component's start),
+  // each with the darts of this component on the child's container face.
+  struct Kid {
+    std::string code;
+    std::vector<int> face_darts;
+  };
+  std::vector<Kid> kids;
   for (int child : pre.children[comp]) {
-    kids.emplace_back(pre.container_face_of_comp[child],
-                      TreeCode(data, pre, child, mirrored, include_exterior,
-                               memo));
+    Kid kid{TreeCode(o, child), {}};
+    for (int d : pre.darts_of_comp[comp]) {
+      if (FaceOf(o->data, d, o->mirrored) ==
+          pre.container_face_of_comp[child]) {
+        kid.face_darts.push_back(d);
+      }
+    }
+    TOPODB_CHECK_MSG(!kid.face_darts.empty(),
+                     "child container face not on parent");
+    kids.push_back(std::move(kid));
   }
   std::string best;
-  std::vector<int> idx;
+  std::string code;
+  std::vector<std::string> tagged;
   for (int start : pre.darts_of_comp[comp]) {
-    std::string code =
-        FlagCode(data, pre, start, mirrored, include_exterior, &idx);
-    if (!kids.empty()) {
+    Order cmp = FlagCode(o, start, best.empty() ? nullptr : &best, &code);
+    if (cmp != Order::kGreater && !kids.empty()) {
       // Tag each child with the canonical id of its container face: the
       // least dart index lying on that face (under this orientation).
-      std::vector<std::string> tagged;
-      for (const auto& [face, child_code] : kids) {
-        int tag = -1;
-        for (int d : pre.darts_of_comp[comp]) {
-          if (FaceOf(data, d, mirrored) == face &&
-              (tag == -1 || idx[d] < tag)) {
-            tag = idx[d];
-          }
-        }
-        TOPODB_CHECK_MSG(tag >= 0, "child container face not on parent");
-        tagged.push_back(std::to_string(tag) + '@' + child_code);
+      tagged.clear();
+      for (const Kid& kid : kids) {
+        int tag = o->idx[kid.face_darts[0]];
+        for (int d : kid.face_darts) tag = std::min(tag, o->idx[d]);
+        tagged.push_back(std::to_string(tag) + '@' + kid.code);
       }
       std::sort(tagged.begin(), tagged.end());
       code += "{";
       for (const std::string& t : tagged) code += t + "}{";
       code += "}";
+      // Equal flag codes: the child suffix breaks the tie.
+      if (cmp == Order::kEqual && code < best) cmp = Order::kLess;
     }
-    if (best.empty() || code < best) best = std::move(code);
+    if (cmp == Order::kLess) best.swap(code);
+    for (int d : o->order) o->idx[d] = -1;
   }
-  memo->emplace(comp, best);
   return best;
 }
 
 std::string ForestCode(const InvariantData& data, const Precomp& pre,
                        bool mirrored, bool include_exterior) {
-  std::map<int, std::string> memo;
+  Orientation o(data, pre, mirrored, include_exterior);
   std::vector<std::string> roots;
   for (size_t comp = 0; comp < pre.children.size(); ++comp) {
     if (pre.parent_comp[comp] == -1) {
-      roots.push_back(TreeCode(data, pre, static_cast<int>(comp), mirrored,
-                               include_exterior, &memo));
+      roots.push_back(TreeCode(&o, static_cast<int>(comp)));
     }
   }
   std::sort(roots.begin(), roots.end());

@@ -10,12 +10,25 @@ namespace topodb {
 
 // Canonical forms and isomorphism for topological invariants (Theorem 3.4).
 //
-// A connected embedded labeled planar graph is canonized by running a
+// A connected embedded labeled planar graph is canonized by a
 // deterministic flag traversal (over the dart permutations rotation/twin)
-// from every possible start dart in both orientations and keeping the
-// lexicographically least code; two invariants are isomorphic — via an
-// isomorphism that is the identity on region names and maps the exterior
-// face to the exterior face — iff their canonical strings are equal.
+// that may start from any dart, in either orientation; the canonical code
+// is the lexicographically least one. Two invariants are isomorphic — via
+// an isomorphism that is the identity on region names and maps the
+// exterior face to the exterior face — iff their canonical strings are
+// equal.
+//
+// The search is pruned. Each start's code is one '|'-terminated token per
+// dart, emitted while its BFS runs and compared with the best code so far;
+// the start is abandoned at the first token where it is greater. This is
+// exact: token bodies use only digits, ",;", the label signs "ob-" and the
+// exterior marks "ixUB", so '|' appears only as the terminator, and all
+// codes of one component have the same number of tokens — two codes
+// therefore first differ inside a token both have, or are equal. A tie is
+// broken by the child-tag suffix of nested components, which is built only
+// on a tie or a new best. The result is byte-identical to the exhaustive
+// search (tests/canonical_golden_test.cc pins it); worst case is still
+// quadratic, on symmetric inputs whose starts tie to the last token.
 // Nonconnected instances are handled by canonizing the containment
 // ("embedded-in") tree of skeleton components, with a globally consistent
 // orientation choice across components — exactly the subtlety in the

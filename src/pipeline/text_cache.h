@@ -2,13 +2,14 @@
 #define TOPODB_PIPELINE_TEXT_CACHE_H_
 
 // A bounded cache of canonical invariant strings keyed by the *raw
-// instance text*, consulted before any parsing. It complements the
-// structural InvariantCache (src/pipeline/invariant_cache.h), whose key
-// is derived from the built arrangement: a structural hit still pays the
-// full parse + arrangement build, while a text hit here skips everything.
-// Two spellings of the same instance miss here and fall through to the
-// structural cache — text identity is a fast path, not the identity
-// scheme.
+// instance text*, consulted before any parsing. A text hit skips parse,
+// arrangement build and canonical form. It is the server's only
+// canonical memo: the structural InvariantCache
+// (src/pipeline/invariant_cache.h), keyed by the built arrangement, is
+// unbounded and still pays the full parse + build on a hit, so the
+// server does not attach it (it stays available to batch callers). Two
+// spellings of the same instance miss here and are recomputed — text
+// identity is a fast path, not the identity scheme.
 //
 // Eviction policy: admission-capped, not LRU. The serving workload this
 // cache exists for is a round-robin sweep over a working set of distinct

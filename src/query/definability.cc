@@ -39,7 +39,9 @@ bool Touch(const std::vector<std::set<int>>& closure, int a, int b) {
   return false;
 }
 
-std::string CellVar(int i) { return "c" + std::to_string(i); }
+std::string CellVar(int i) {
+  return std::string("c").append(std::to_string(i));
+}
 
 // The label constraint for one cell relative to one region.
 FormulaPtr LabelAtom(Sign sign, const std::string& var,
@@ -132,7 +134,7 @@ Result<FormulaPtr> DefiningSentence(const InvariantData& data) {
   // I occurs, and every name of J is one of I's.
   std::vector<FormulaPtr> name_parts;
   for (size_t r = 0; r < data.region_names.size(); ++r) {
-    const std::string var = "a" + std::to_string(r);
+    const std::string var = std::string("a").append(std::to_string(r));
     name_parts.push_back(MakeQuantifier(
         Formula::Kind::kExists, Formula::VarKind::kName, var,
         MakeNameEq(Var(var), NameConstant(data.region_names[r]))));

@@ -1,5 +1,6 @@
 #include "src/query/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <optional>
@@ -126,14 +127,35 @@ class Parser {
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<FormulaPtr> Parse() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr formula, ParseIff());
+    TOPODB_ASSIGN_OR_RETURN(Node node, ParseIff());
     if (Peek().kind != Token::Kind::kEnd) {
       return Err("unexpected trailing input");
     }
-    return formula;
+    return std::move(node.formula);
   }
 
  private:
+  // A parsed subformula and the depth of its tree (a leaf is 1). Depth is
+  // tracked as the tree is built so an over-deep query is refused before
+  // it exists: every AST walker, and the shared_ptr destructor chain,
+  // recurses once per level.
+  struct Node {
+    FormulaPtr formula;
+    int depth = 1;
+  };
+
+  // Counts one level of parser recursion for as long as it is alive.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(int* nesting) : nesting_(nesting) { ++*nesting_; }
+    ~NestingGuard() { --*nesting_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+   private:
+    int* nesting_;
+  };
+
   const Token& Peek() const { return tokens_[pos_]; }
   const Token& Next() { return tokens_[pos_++]; }
   bool ConsumeIdent(const std::string& word) {
@@ -147,51 +169,86 @@ class Parser {
     return Status::ParseError(message + " at position " +
                               std::to_string(Peek().pos));
   }
+  Status TooDeep() const {
+    return Status::InvalidArgument(
+        "query nests deeper than the limit of " +
+        std::to_string(kMaxQueryDepth) + " at position " +
+        std::to_string(Peek().pos));
+  }
+  // A prefix construct ('not', a quantifier, the right operand of
+  // 'implies') puts one tree level above what follows it, so it is
+  // refused before the parser descends, keeping the recursion bounded
+  // too. Parentheses add no tree level but do recurse; they are bounded
+  // separately. ToString of any tree within the limit nests at most one
+  // '(' per level, so it always reparses.
+  Status EnterPrefix() const {
+    return prefix_levels_ >= kMaxQueryDepth ? TooDeep() : Status::OK();
+  }
+  Status EnterParen() const {
+    return parens_ > kMaxQueryDepth ? TooDeep() : Status::OK();
+  }
+  // Wraps a new node over children of the given depths.
+  Result<Node> Build(FormulaPtr formula, int child_depth) const {
+    if (child_depth + 1 > kMaxQueryDepth) return TooDeep();
+    return Node{std::move(formula), child_depth + 1};
+  }
 
-  Result<FormulaPtr> ParseIff() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr left, ParseImplies());
+  Result<Node> ParseIff() {
+    TOPODB_ASSIGN_OR_RETURN(Node left, ParseImplies());
     while (ConsumeIdent("iff")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr right, ParseImplies());
+      TOPODB_ASSIGN_OR_RETURN(Node right, ParseImplies());
       auto f = std::make_shared<Formula>();
       f->kind = Formula::Kind::kIff;
-      f->left = left;
-      f->right = right;
-      left = f;
+      f->left = std::move(left.formula);
+      f->right = std::move(right.formula);
+      TOPODB_ASSIGN_OR_RETURN(left, Build(f, std::max(left.depth,
+                                                      right.depth)));
     }
     return left;
   }
 
-  Result<FormulaPtr> ParseImplies() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr left, ParseOr());
+  Result<Node> ParseImplies() {
+    TOPODB_ASSIGN_OR_RETURN(Node left, ParseOr());
     if (ConsumeIdent("implies")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr right, ParseImplies());
-      return MakeImplies(std::move(left), std::move(right));
+      NestingGuard guard(&prefix_levels_);
+      TOPODB_RETURN_NOT_OK(EnterPrefix());
+      TOPODB_ASSIGN_OR_RETURN(Node right, ParseImplies());
+      return Build(MakeImplies(std::move(left.formula),
+                               std::move(right.formula)),
+                   std::max(left.depth, right.depth));
     }
     return left;
   }
 
-  Result<FormulaPtr> ParseOr() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr left, ParseAnd());
+  Result<Node> ParseOr() {
+    TOPODB_ASSIGN_OR_RETURN(Node left, ParseAnd());
     while (ConsumeIdent("or")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr right, ParseAnd());
-      left = MakeOr(std::move(left), std::move(right));
+      TOPODB_ASSIGN_OR_RETURN(Node right, ParseAnd());
+      TOPODB_ASSIGN_OR_RETURN(
+          left, Build(MakeOr(std::move(left.formula), std::move(right.formula)),
+                      std::max(left.depth, right.depth)));
     }
     return left;
   }
 
-  Result<FormulaPtr> ParseAnd() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr left, ParseUnary());
+  Result<Node> ParseAnd() {
+    TOPODB_ASSIGN_OR_RETURN(Node left, ParseUnary());
     while (ConsumeIdent("and")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr right, ParseUnary());
-      left = MakeAnd(std::move(left), std::move(right));
+      TOPODB_ASSIGN_OR_RETURN(Node right, ParseUnary());
+      TOPODB_ASSIGN_OR_RETURN(
+          left,
+          Build(MakeAnd(std::move(left.formula), std::move(right.formula)),
+                std::max(left.depth, right.depth)));
     }
     return left;
   }
 
-  Result<FormulaPtr> ParseUnary() {
+  Result<Node> ParseUnary() {
     if (ConsumeIdent("not")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr inner, ParseUnary());
-      return MakeNot(std::move(inner));
+      NestingGuard guard(&prefix_levels_);
+      TOPODB_RETURN_NOT_OK(EnterPrefix());
+      TOPODB_ASSIGN_OR_RETURN(Node inner, ParseUnary());
+      return Build(MakeNot(std::move(inner.formula)), inner.depth);
     }
     if (Peek().kind == Token::Kind::kIdent &&
         (Peek().text == "exists" || Peek().text == "forall")) {
@@ -200,7 +257,7 @@ class Parser {
     return ParsePrimary();
   }
 
-  Result<FormulaPtr> ParseQuantifier() {
+  Result<Node> ParseQuantifier() {
     const bool exists = Next().text == "exists";
     Formula::VarKind var_kind;
     if (ConsumeIdent("region")) {
@@ -226,20 +283,25 @@ class Parser {
       return Err("expected '.' after quantified variable");
     }
     Next();
+    NestingGuard guard(&prefix_levels_);
+    TOPODB_RETURN_NOT_OK(EnterPrefix());
     bound_.insert(var);
     // The body extends as far right as possible.
-    Result<FormulaPtr> body = ParseIff();
+    Result<Node> body = ParseIff();
     bound_.erase(var);
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr b, std::move(body));
-    return MakeQuantifier(
-        exists ? Formula::Kind::kExists : Formula::Kind::kForall, var_kind,
-        std::move(var), std::move(b));
+    TOPODB_ASSIGN_OR_RETURN(Node b, std::move(body));
+    return Build(
+        MakeQuantifier(exists ? Formula::Kind::kExists : Formula::Kind::kForall,
+                       var_kind, std::move(var), std::move(b.formula)),
+        b.depth);
   }
 
-  Result<FormulaPtr> ParsePrimary() {
+  Result<Node> ParsePrimary() {
     if (Peek().kind == Token::Kind::kLParen) {
       Next();
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr inner, ParseIff());
+      NestingGuard guard(&parens_);
+      TOPODB_RETURN_NOT_OK(EnterParen());
+      TOPODB_ASSIGN_OR_RETURN(Node inner, ParseIff());
       if (Peek().kind != Token::Kind::kRParen) return Err("expected ')'");
       Next();
       return inner;
@@ -255,18 +317,18 @@ class Parser {
       }
       Next();
       TOPODB_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
-      return MakeNameEq(std::move(lhs), std::move(rhs));
+      return Node{MakeNameEq(std::move(lhs), std::move(rhs))};
     }
     if (Peek().kind != Token::Kind::kIdent) return Err("expected formula");
     if (ConsumeIdent("true")) {
       auto f = std::make_shared<Formula>();
       f->kind = Formula::Kind::kTrue;
-      return FormulaPtr(f);
+      return Node{f};
     }
     if (ConsumeIdent("false")) {
       auto f = std::make_shared<Formula>();
       f->kind = Formula::Kind::kFalse;
-      return FormulaPtr(f);
+      return Node{f};
     }
     // Predicate atom?
     auto pred_it = PredicateTable().find(Peek().text);
@@ -282,7 +344,7 @@ class Parser {
       TOPODB_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
       if (Peek().kind != Token::Kind::kRParen) return Err("expected ')'");
       Next();
-      return MakeAtom(pred_it->second, std::move(lhs), std::move(rhs));
+      return Node{MakeAtom(pred_it->second, std::move(lhs), std::move(rhs))};
     }
     // Name equality atom: term = term.
     TOPODB_ASSIGN_OR_RETURN(Term lhs, ParseTerm());
@@ -291,7 +353,7 @@ class Parser {
     }
     Next();
     TOPODB_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
-    return MakeNameEq(std::move(lhs), std::move(rhs));
+    return Node{MakeNameEq(std::move(lhs), std::move(rhs))};
   }
 
   Result<Term> ParseTerm() {
@@ -311,6 +373,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int prefix_levels_ = 0;
+  int parens_ = 0;
   std::set<std::string> bound_;
 };
 

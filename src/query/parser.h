@@ -39,6 +39,17 @@ namespace topodb {
 // ("cell", "exists"). Inside quotes, \" yields a double quote and \\ a
 // backslash; any other escape is a parse error. Quantified variables must
 // still be plain identifiers.
+//
+// Depth limit: a query whose syntax tree would be deeper than
+// kMaxQueryDepth levels (a leaf is one level), or that nests more than
+// kMaxQueryDepth parentheses, is refused with InvalidArgument naming the
+// limit. Left-deep chains ("a and a and ...") count as well as nested
+// prefixes ("not (not (...))"). The AST walkers (ToString,
+// CanonicalizeQuery, PlanQuery, the evaluators) and the shared_ptr
+// destructor chain recurse once per level, so this bound is what keeps
+// an adversarial query from exhausting the stack. ToString of any
+// accepted query reparses.
+inline constexpr int kMaxQueryDepth = 256;
 Result<FormulaPtr> ParseQuery(const std::string& text);
 
 // True for reserved words of the language (quantifiers, connectives, sort

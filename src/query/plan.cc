@@ -468,7 +468,7 @@ FormulaPtr RenameBinders(const FormulaPtr& f,
     }
     case Kind::kExists:
     case Kind::kForall: {
-      std::string fresh = "x" + std::to_string((*next)++);
+      std::string fresh = std::string("x").append(std::to_string((*next)++));
       env->emplace_back(f->var, fresh);
       FormulaPtr body = RenameBinders(f->body, env, next);
       env->pop_back();

@@ -102,9 +102,6 @@ struct TopoDbServer::Impl {
   ServerOptions options;
   MetricsRegistry owned_metrics;
   MetricsRegistry* registry;
-  // Canonical strings repeat across requests exactly as they do across
-  // batch items; one shared cache serves the whole process lifetime.
-  InvariantCache cache;
   // Built QueryEngines for catalog-backed EVAL_QUERY requests, keyed by
   // (entry id, store format version): the arrangement is built once per
   // catalog entry, not once per request.
@@ -115,9 +112,12 @@ struct TopoDbServer::Impl {
   // the EngineCache identity scheme, so re-ingest invalidates both.
   SemanticCache sem_cache;
   // Canonical invariant responses keyed by raw instance text: a text hit
-  // skips parse + build entirely (the InvariantCache above only dedupes
-  // *after* the arrangement is built). Admission-capped; see
-  // src/pipeline/text_cache.h for why that beats LRU here.
+  // skips parse + build entirely. This bounded cache is the only
+  // canonical memo on the serving path: catalog refs carry precomputed
+  // canonicals, and a text miss runs the pipeline uncached, so memory
+  // does not grow with the number of distinct items served.
+  // Admission-capped; see src/pipeline/text_cache.h for why that beats
+  // LRU here.
   TextInvariantCache text_cache;
 
   int listen_fd = -1;
@@ -525,7 +525,6 @@ struct TopoDbServer::Impl {
     // Cross-request parallelism is the worker pool's job; keep each
     // request single-threaded inside the pipeline.
     batch.num_threads = 1;
-    batch.cache = &cache;
     batch.deadline = item.deadline;
     batch.cancel = &drain_cancel;
     batch.metrics = registry;

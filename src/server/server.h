@@ -36,7 +36,6 @@
 
 #include "src/base/status.h"
 #include "src/obs/metrics.h"
-#include "src/pipeline/invariant_cache.h"
 #include "src/query/eval.h"
 #include "src/store/catalog.h"
 

@@ -14,12 +14,18 @@ constexpr char kCcw[] = "ccw";
 
 }  // namespace
 
-std::string VertexId(int v) { return "v" + std::to_string(v); }
-std::string EdgeId(int e) { return "e" + std::to_string(e); }
+std::string VertexId(int v) {
+  return std::string("v").append(std::to_string(v));
+}
+std::string EdgeId(int e) {
+  return std::string("e").append(std::to_string(e));
+}
 std::string EndId(int dart) {
   return EdgeId(dart / 2) + (dart % 2 == 0 ? "+" : "-");
 }
-std::string FaceId(int f) { return "f" + std::to_string(f); }
+std::string FaceId(int f) {
+  return std::string("f").append(std::to_string(f));
+}
 
 ThematicInstance ThematicInstance::Empty() {
   ThematicInstance theme;

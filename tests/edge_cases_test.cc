@@ -64,7 +64,7 @@ TEST(EdgeCaseTest, ChainOfMeets) {
   SpatialInstance instance;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(instance
-                    .AddRegion("R" + std::to_string(i),
+                    .AddRegion(std::string("R").append(std::to_string(i)),
                                *Region::MakeRect(Point(4 * i, 0),
                                                  Point(4 * i + 4, 4)))
                     .ok());

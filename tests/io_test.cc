@@ -205,7 +205,8 @@ TEST(IoTest, RandomizedWriteParseRoundTripIsByteStable) {
   auto literal = [&](int64_t base) -> std::string {
     switch (next() % 4) {
       case 0:  // Bare integer, sometimes with an explicit '+'.
-        return (base >= 0 && next() % 2 ? "+" : "") + std::to_string(base);
+        return std::string(base >= 0 && next() % 2 ? "+" : "")
+            .append(std::to_string(base));
       case 1: {  // Decimal with 1..6 digits, trailing zeros allowed.
         const size_t digits = 1 + next() % 6;
         std::string frac;
@@ -214,7 +215,10 @@ TEST(IoTest, RandomizedWriteParseRoundTripIsByteStable) {
         }
         if (base < 0) {
           // "-2.5" means -(2.5): emit the magnitude after the sign.
-          return "-" + std::to_string(-base - 1) + "." + frac;
+          return std::string("-")
+              .append(std::to_string(-base - 1))
+              .append(".")
+              .append(frac);
         }
         return std::to_string(base) + "." + frac;
       }

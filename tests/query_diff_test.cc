@@ -123,7 +123,9 @@ TEST(QueryDiffTest, PlannedMatchesUnplannedAcrossStrategiesAndWorkload) {
           ASSERT_EQ(u.ok(), p.ok())
               << query << "\n unplanned: " << u.status().ToString()
               << "\n planned:   " << p.status().ToString();
-          if (u.ok()) EXPECT_EQ(*u, *p) << query;
+          if (u.ok()) {
+            EXPECT_EQ(*u, *p) << query;
+          }
         }
       }
       // The planned path must also satisfy the cross-strategy agreement
@@ -223,7 +225,9 @@ TEST(QueryDiffTest, DiscValueOverloadsAgreeOnAllFaceSubsets) {
       // Second call hits the memo; same answer.
       CellSet completed_again;
       ASSERT_EQ(engine.IsDiscValue(face_bits, &completed_again), fast);
-      if (fast) EXPECT_EQ(completed_again, completed_bits);
+      if (fast) {
+        EXPECT_EQ(completed_again, completed_bits);
+      }
     }
   }
 }

@@ -139,6 +139,75 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("@").ok());
 }
 
+// A query of exactly `levels` tree levels in each nesting shape.
+std::string NotChain(int levels) {
+  std::string q;
+  for (int i = 1; i < levels; ++i) q += "not ";
+  return q + "true";
+}
+std::string NotParenChain(int levels) {
+  std::string q;
+  for (int i = 1; i < levels; ++i) q += "not (";
+  return q + "true" + std::string(levels - 1, ')');
+}
+std::string AndChain(int levels) {  // Left-deep.
+  std::string q = "true";
+  for (int i = 1; i < levels; ++i) q += " and true";
+  return q;
+}
+std::string ImpliesChain(int levels) {  // Right-nested.
+  std::string q = "true";
+  for (int i = 1; i < levels; ++i) q += " implies true";
+  return q;
+}
+std::string ExistsChain(int levels) {
+  std::string q;
+  for (int i = 1; i < levels; ++i) {
+    q += "exists name v" + std::to_string(i) + " . ";
+  }
+  return q + "true";
+}
+
+TEST(ParserTest, DepthLimitCountsTreeLevelsInEveryShape) {
+  for (const auto& shape :
+       {NotChain, NotParenChain, AndChain, ImpliesChain, ExistsChain}) {
+    const std::string at_limit = shape(kMaxQueryDepth);
+    Result<FormulaPtr> ok = ParseQuery(at_limit);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    // Walkers run fine at the limit, and the rendering reparses.
+    EXPECT_TRUE(ParseQuery((*ok)->ToString()).ok());
+
+    const Result<FormulaPtr> deep = ParseQuery(shape(kMaxQueryDepth + 1));
+    ASSERT_FALSE(deep.ok()) << at_limit.substr(0, 40);
+    EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(deep.status().message().find(std::to_string(kMaxQueryDepth)),
+              std::string::npos)
+        << deep.status().ToString();
+  }
+}
+
+TEST(ParserTest, DepthLimitBoundsParenthesisNesting) {
+  const std::string at_limit = std::string(kMaxQueryDepth, '(') + "true" +
+                               std::string(kMaxQueryDepth, ')');
+  EXPECT_TRUE(ParseQuery(at_limit).ok());
+  const std::string past = "(" + at_limit + ")";
+  EXPECT_EQ(ParseQuery(past).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParserTest, AdversarialNestingIsRefusedNotCrashed) {
+  // Far past any stack: each shape must fail cleanly, and the partial
+  // tree must be torn down without recursing 200,000 levels.
+  constexpr int kHuge = 200000;
+  std::string nots;
+  for (int i = 0; i < kHuge; ++i) nots += "not (";
+  for (const std::string& query :
+       {nots + "true" + std::string(kHuge, ')'), AndChain(kHuge),
+        ImpliesChain(kHuge), std::string(kHuge, '(') + "true"}) {
+    EXPECT_EQ(ParseQuery(query).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 // --- Evaluation: paper examples ---
 
 TEST(QueryTest, Example41SeparatesFig1aFromFig1b) {

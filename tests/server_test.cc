@@ -20,6 +20,7 @@
 #include "src/client/client.h"
 #include "src/invariant/canonical.h"
 #include "src/query/eval.h"
+#include "src/query/parser.h"
 #include "src/region/fixtures.h"
 #include "src/region/io.h"
 #include "src/server/server.h"
@@ -39,6 +40,17 @@ std::string GridText() {
   auto grid = RectGridInstance(3, 3);
   EXPECT_TRUE(grid.ok());
   return WriteInstanceText(*grid);
+}
+
+// `not (` nested 10,000 deep around `true`: ~60 KB, far under the wire
+// cap, and once enough to overflow the stack of the recursive-descent
+// parser and kill the process.
+std::string DeeplyNestedQuery() {
+  std::string query;
+  for (int i = 0; i < 10000; ++i) query += "not (";
+  query += "true";
+  query += std::string(10000, ')');
+  return query;
 }
 
 TopoDbClient ConnectOrDie(const TopoDbServer& server) {
@@ -127,6 +139,56 @@ TEST(ServerTest, EvalQueryMatchesLocalEngine) {
   EXPECT_EQ(client.EvalQuery(text, "exists banana . !").status().code(),
             StatusCode::kParseError);
   EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST(ServerTest, DeeplyNestedQueryIsRefusedAndServerStaysUp) {
+  TopoDbServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  TopoDbClient client = ConnectOrDie(server);
+  const std::string text = WriteInstanceText(Fig1cInstance());
+
+  const auto refused = client.EvalQuery(text, DeeplyNestedQuery());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find(std::to_string(kMaxQueryDepth)),
+            std::string::npos)
+      << refused.status().ToString();
+
+  // The same session, and the server, keep serving.
+  EXPECT_TRUE(client.Ping().ok());
+  const auto verdict = client.EvalQuery(text, "not (not (true))");
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_TRUE(*verdict);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST(ServerTest, DistinctInlineInvariantsLeaveOnlyTheBoundedTextCache) {
+  MetricsRegistry registry;
+  ServerOptions options;
+  options.metrics = &registry;
+  options.text_cache_entries = 64;
+  TopoDbServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  TopoDbClient client = ConnectOrDie(server);
+
+  // 300 distinct texts, each a cold COMPUTE_INVARIANT.
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    auto instance = RandomRectInstance(2, 64, seed);
+    ASSERT_TRUE(instance.ok());
+    const auto remote = client.ComputeInvariant(WriteInstanceText(*instance));
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  }
+
+  const auto json = client.Metrics();
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  // No structural memo on the serving path: its series never appear.
+  EXPECT_EQ(json->find("invariant_cache."), std::string::npos);
+  EXPECT_EQ(json->find("pipeline.cache_"), std::string::npos);
+  EXPECT_NE(json->find("\"textcache.entries\""), std::string::npos);
+  EXPECT_EQ(registry.counter("pipeline.items")->value(), 300u);
+  EXPECT_LE(registry.gauge("textcache.entries")->value(),
+            static_cast<int64_t>(options.text_cache_entries));
+  EXPECT_TRUE(server.Shutdown().ok());
 }
 
 TEST(ServerTest, IsoCheckMatchesTheoremThreeFour) {

@@ -54,7 +54,8 @@ struct Cluster {
       cluster.servers.push_back(std::make_unique<TopoDbServer>(options));
       EXPECT_TRUE(cluster.servers.back()->Start().ok());
       router_options.shards.push_back(
-          {"s" + std::to_string(s), cluster.servers.back()->port()});
+          {std::string("s").append(std::to_string(s)),
+           cluster.servers.back()->port()});
     }
     router_options.health_checker = health_checker;
     cluster.router = std::make_unique<TopoDbRouter>(router_options);
@@ -119,6 +120,31 @@ TEST(RouterTest, PingAndSingleOpcodesAreByteIdenticalToDirect) {
       direct_client->EvalQuery(text, "forall region r . connect(r, r)");
   ASSERT_TRUE(routed_eval.ok() && direct_eval.ok());
   EXPECT_EQ(*routed_eval, *direct_eval);
+}
+
+TEST(RouterTest, DeeplyNestedQueryIsRefusedAndTheFleetStaysUp) {
+  Cluster cluster = Cluster::Start(2);
+  TopoDbClient via_router = cluster.Connect();
+  const std::string text = WriteInstanceText(Fig1cInstance());
+
+  // `not (` nested 10,000 deep: the request that once crashed a shard.
+  std::string query;
+  for (int i = 0; i < 10000; ++i) query += "not (";
+  query += "true" + std::string(10000, ')');
+  const auto refused = via_router.EvalQuery(text, query);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+
+  // The owner shard, and the router in front of it, keep serving.
+  EXPECT_TRUE(via_router.Ping().ok());
+  const auto verdict = via_router.EvalQuery(text, "not (not (true))");
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_TRUE(*verdict);
+  for (const auto& server : cluster.servers) {
+    auto direct = TopoDbClient::Connect(server->port());
+    ASSERT_TRUE(direct.ok());
+    EXPECT_TRUE(direct->Ping().ok());
+  }
 }
 
 TEST(RouterTest, BatchScatterGathersAcrossShardsAndStaysAligned) {
@@ -210,7 +236,8 @@ TEST(RouterTest, LoadPlacesByNameAndListMergesTheFleet) {
     cluster.servers.push_back(std::make_unique<TopoDbServer>(options));
     ASSERT_TRUE(cluster.servers.back()->Start().ok());
     router_options.shards.push_back(
-        {"s" + std::to_string(s), cluster.servers.back()->port()});
+        {std::string("s").append(std::to_string(s)),
+         cluster.servers.back()->port()});
   }
   router_options.health_checker = false;
   cluster.router = std::make_unique<TopoDbRouter>(router_options);
