@@ -1,10 +1,10 @@
-// Old-vs-new query evaluation: the byte-per-cell baseline evaluator
-// against the bitset evaluator (packed cell sets, precomputed closures,
-// memoized disc checks, shared materialized quantifier range) on the
-// Fig 11 / Ex 4.1-4.2 query corpus and quantifier-heavy workload sweeps.
-// The report asserts byte-identical verdicts on every row before timing;
-// the timing series below it covers both strategies, the parallel fan-out
-// and the batch pipeline.
+// Reference-vs-engine query evaluation: the byte-per-cell reference
+// evaluator (tests/query_reference.h) against QueryEngine (packed cell
+// sets, precomputed closures, memoized disc checks, shared materialized
+// quantifier range) on the Fig 11 / Ex 4.1-4.2 query corpus and
+// quantifier-heavy workload sweeps. The report exits nonzero on any
+// verdict mismatch before timing; the timing series below it covers both
+// evaluators, the parallel fan-out and the batch pipeline.
 //
 // Smoke mode (TOPODB_BENCH_SMOKE=1, used by CI) shrinks repetition counts
 // and workload sizes so the binary exercises every code path in well under
@@ -22,6 +22,7 @@
 #include "bench/bench_util.h"
 #include "src/pipeline/query_batch.h"
 #include "src/topodb.h"
+#include "tests/query_reference.h"
 
 namespace topodb {
 namespace {
@@ -80,56 +81,54 @@ double MedianMicros(std::vector<double>& samples) {
 }
 
 // Times one cold evaluation (fresh engine, empty caches) per repetition,
-// so the bitset column pays for its own memoization — the speedup shown
+// so the engine column pays for its own memoization — the speedup shown
 // is not an artifact of a warm cache.
 void ReportOldVsNew() {
   bench::Header(
-      "query evaluation, baseline (vector<char>) vs bitset (packed words)");
+      "query evaluation, reference (vector<char>) vs engine (packed words)");
   const int reps = SmokeMode() ? 1 : 5;
-  EvalOptions baseline;
-  baseline.strategy = EvalStrategy::kBaseline;
-  baseline.max_region_candidates = 2'000'000;
-  EvalOptions bitset = baseline;
-  bitset.strategy = EvalStrategy::kBitset;
+  EvalOptions options;
+  options.max_region_candidates = 2'000'000;
 
-  std::printf("%-24s | %12s | %12s | %8s | %s\n", "query", "baseline us",
-              "bitset us", "speedup", "verdict");
-  double total_baseline = 0, total_bitset = 0;
+  std::printf("%-24s | %12s | %12s | %8s | %s\n", "query", "reference us",
+              "engine us", "speedup", "verdict");
+  double total_reference = 0, total_engine = 0;
   for (CorpusRow& row : BuildCorpus()) {
     FormulaPtr query = Unwrap(ParseQuery(row.query));
-    bool verdict_baseline = false, verdict_bitset = false;
-    std::vector<double> us_baseline, us_bitset;
+    bool verdict_reference = false, verdict_engine = false;
+    std::vector<double> us_reference, us_engine;
     for (int r = 0; r < reps; ++r) {
       {
         QueryEngine engine = Unwrap(QueryEngine::Build(row.instance));
+        const QueryReference reference(engine.complex());
         const auto t0 = std::chrono::steady_clock::now();
-        verdict_baseline = Unwrap(engine.Evaluate(query, baseline));
+        verdict_reference = Unwrap(reference.Evaluate(query, options));
         const auto t1 = std::chrono::steady_clock::now();
-        us_baseline.push_back(
+        us_reference.push_back(
             std::chrono::duration<double, std::micro>(t1 - t0).count());
       }
       {
         QueryEngine engine = Unwrap(QueryEngine::Build(row.instance));
         const auto t0 = std::chrono::steady_clock::now();
-        verdict_bitset = Unwrap(engine.Evaluate(query, bitset));
+        verdict_engine = Unwrap(engine.Evaluate(query, options));
         const auto t1 = std::chrono::steady_clock::now();
-        us_bitset.push_back(
+        us_engine.push_back(
             std::chrono::duration<double, std::micro>(t1 - t0).count());
       }
     }
-    if (verdict_baseline != verdict_bitset) {
+    if (verdict_reference != verdict_engine) {
       std::fprintf(stderr, "VERDICT MISMATCH on %s\n", row.label);
       std::exit(1);
     }
-    const double b = MedianMicros(us_baseline);
-    const double n = MedianMicros(us_bitset);
-    total_baseline += b;
-    total_bitset += n;
+    const double b = MedianMicros(us_reference);
+    const double n = MedianMicros(us_engine);
+    total_reference += b;
+    total_engine += n;
     std::printf("%-24s | %12.1f | %12.1f | %7.1fx | %s\n", row.label, b, n,
-                b / n, verdict_bitset ? "true" : "false");
+                b / n, verdict_engine ? "true" : "false");
   }
-  std::printf("%-24s | %12.1f | %12.1f | %7.1fx |\n", "TOTAL", total_baseline,
-              total_bitset, total_baseline / total_bitset);
+  std::printf("%-24s | %12.1f | %12.1f | %7.1fx |\n", "TOTAL",
+              total_reference, total_engine, total_reference / total_engine);
 }
 
 // Runs the corpus once against an instrumented engine and prints the
@@ -196,17 +195,16 @@ void ReportMetricsOverhead() {
 
 // --- Timing series ---
 
-void BM_Example42Baseline(benchmark::State& state) {
+void BM_Example42Reference(benchmark::State& state) {
   const SpatialInstance instance = Fig1dInstance();
   FormulaPtr query = Unwrap(ParseQuery(kExample42));
-  EvalOptions options;
-  options.strategy = EvalStrategy::kBaseline;
   for (auto _ : state) {
     QueryEngine engine = Unwrap(QueryEngine::Build(instance));
-    benchmark::DoNotOptimize(Unwrap(engine.Evaluate(query, options)));
+    const QueryReference reference(engine.complex());
+    benchmark::DoNotOptimize(Unwrap(reference.Evaluate(query)));
   }
 }
-BENCHMARK(BM_Example42Baseline);
+BENCHMARK(BM_Example42Reference);
 
 void BM_Example42BitsetCold(benchmark::State& state) {
   const SpatialInstance instance = Fig1dInstance();
@@ -234,17 +232,20 @@ void BM_RegionSweepByStrategy(benchmark::State& state) {
   const SpatialInstance instance = Unwrap(ChainInstance(n));
   FormulaPtr query = Unwrap(ParseQuery(kForallConnect));
   EvalOptions options;
-  options.strategy = state.range(1) == 0 ? EvalStrategy::kBaseline
-                                         : EvalStrategy::kBitset;
   options.max_region_candidates = 2'000'000;
   for (auto _ : state) {
     QueryEngine engine = Unwrap(QueryEngine::Build(instance));
-    benchmark::DoNotOptimize(Unwrap(engine.Evaluate(query, options)));
+    if (state.range(1) == 0) {
+      const QueryReference reference(engine.complex());
+      benchmark::DoNotOptimize(Unwrap(reference.Evaluate(query, options)));
+    } else {
+      benchmark::DoNotOptimize(Unwrap(engine.Evaluate(query, options)));
+    }
   }
 }
 BENCHMARK(BM_RegionSweepByStrategy)
     ->ArgsProduct({{4, 5, 6}, {0, 1}})
-    ->ArgNames({"chain", "bitset"});
+    ->ArgNames({"chain", "engine"});
 
 void BM_ParallelQuantifier(benchmark::State& state) {
   const SpatialInstance instance = Fig1dInstance();

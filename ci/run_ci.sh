@@ -7,7 +7,7 @@
 #      -Werror (TOPODB_WERROR=ON): any compiler warning fails CI.
 #   2. Smoke-run the pipeline benches (batch invariants + query evaluation
 #      + query planner/semantic cache) so their reports, verdict assertions
-#      and every strategy/thread code path execute on each CI run; any
+#      and every thread code path execute on each CI run; any
 #      nonzero exit fails CI. The batch bench also writes its per-stage
 #      metrics JSON to ci/artifacts/, which is validated against the
 #      topodb.metrics schema and archived; bench_query_plan's export is
@@ -36,6 +36,8 @@
 #      bench_shard_scaling (ground-truth-checked scatter-gather at 1/2/4
 #      shards) and holds the checked-in BENCH_shard.json to the scaling
 #      floors.
+#   3d. End-to-end benchmark selftest: build e2ebench/ against src/ and run
+#      every workload briefly, including its wrong-answer gate.
 #   4. Rebuild the test suite under ASan+UBSan (with float-cast-overflow)
 #      in build-asan/ and run it — this is what runs the predicate-filter,
 #      expansion-stage and BigInt fast-path differential fuzz suites with
@@ -64,8 +66,8 @@ run_suite build-ci -DCMAKE_BUILD_TYPE=Release -DTOPODB_WERROR=ON
 echo "==> bench smoke: pipeline batch + query evaluation"
 # TOPODB_BENCH_SMOKE shrinks workloads/repetitions; --benchmark_min_time
 # caps each timing series at 0.01s. bench_query_eval exits nonzero on any
-# baseline-vs-bitset verdict mismatch, making the smoke run a correctness
-# gate, not just a liveness check.
+# verdict mismatch between the reference oracle and QueryEngine, making
+# the smoke run a correctness gate, not just a liveness check.
 mkdir -p ci/artifacts
 TOPODB_BENCH_SMOKE=1 \
 TOPODB_METRICS_JSON=ci/artifacts/pipeline_batch_metrics.json \
@@ -346,6 +348,15 @@ TOPODB_BENCH_SHARD_JSON=ci/artifacts/bench_shard.json \
   ./build-ci/bench/bench_shard_scaling --benchmark_min_time=0.01
 python3 ci/check_bench_shard.py ci/artifacts/bench_shard.json
 python3 ci/check_bench_shard.py BENCH_shard.json --min-2x 1.6 --min-4x 2.5
+
+echo "==> e2ebench selftest"
+# e2ebench compiles against src/, but the top-level CMake does not build
+# it, so without this stage a src/ API change that breaks its build or its
+# answer gate would surface only at the next benchmark run. The selftest
+# builds it into .bench_build/, runs every workload briefly with and
+# without tracing, checks every metric BENCHMARK.json names, and requires
+# a corrupted expected answer to fail the run.
+python3 e2ebench/run.py --selftest
 
 if [[ "${1:-}" != "--no-sanitizers" ]]; then
   echo "==> sanitizers: ASan + UBSan (incl. float-cast-overflow)"

@@ -403,7 +403,6 @@ void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
   // pipeline reduces rationals whose numerators reach hundreds of bits
   // (products of stretched coordinates); the bit-at-a-time schoolbook
   // division this replaced cost O(bits * n) and dominated those profiles.
-  // DivModReference keeps the schoolbook loop as the differential oracle.
   const size_t n = b.limbs_.size();
   const size_t m = a.limbs_.size();
   // Normalize: shift so the divisor's top limb has its high bit set, which
@@ -491,52 +490,6 @@ void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
     remainder->limbs_ = std::move(r);
     remainder->sign_ = rsign;
     remainder->Trim();
-  }
-}
-
-void BigInt::DivModReference(const BigInt& a, const BigInt& b,
-                             BigInt* quotient, BigInt* remainder) {
-  TOPODB_CHECK_MSG(b.sign_ != 0, "division by zero");
-  if (CompareMagnitude(a.limbs_, b.limbs_) < 0) {
-    if (quotient) *quotient = BigInt();
-    if (remainder) *remainder = a;
-    return;
-  }
-  // Shift-and-subtract long division on magnitudes: one bit per step,
-  // nothing estimated — the oracle Algorithm D is fuzzed against.
-  int abits = a.BitLength();
-  int bbits = b.BitLength();
-  LimbVec q;
-  q.assign((abits + 31) / 32, 0);
-  BigInt rem;
-  rem.sign_ = 0;
-  for (int bit = abits - 1; bit >= 0; --bit) {
-    // rem = rem * 2 + bit_of_a
-    uint64_t carry = (a.limbs_[bit / 32] >> (bit % 32)) & 1u;
-    for (uint32_t& limb : rem.limbs_) {
-      uint64_t cur = (uint64_t{limb} << 1) | carry;
-      limb = static_cast<uint32_t>(cur & 0xffffffffu);
-      carry = cur >> 32;
-    }
-    if (carry) rem.limbs_.push_back(static_cast<uint32_t>(carry));
-    if (!rem.limbs_.empty()) rem.sign_ = 1;
-    if (bit < abits && bbits <= rem.BitLength() &&
-        CompareMagnitude(rem.limbs_, b.limbs_) >= 0) {
-      rem.limbs_ = SubMagnitude(rem.limbs_, b.limbs_);
-      if (rem.limbs_.empty()) rem.sign_ = 0;
-      q[bit / 32] |= uint32_t{1} << (bit % 32);
-    }
-  }
-  const int qsign = a.sign_ * b.sign_;
-  const int rsign = a.sign_;
-  if (quotient) {
-    quotient->limbs_ = std::move(q);
-    quotient->sign_ = qsign;
-    quotient->Trim();
-  }
-  if (remainder) {
-    rem.sign_ = rem.limbs_.empty() ? 0 : rsign;
-    *remainder = std::move(rem);
   }
 }
 

@@ -27,7 +27,7 @@ struct QueryBatchOptions {
   // EvalOptions::num_threads parallelizes *within* one evaluation and is
   // usually left at 1 when batching.
   int num_threads = 0;
-  // Per-evaluation options (strategy, budgets, intra-query threads).
+  // Per-evaluation options (budgets, intra-query threads, planning).
   EvalOptions eval;
   // Batch-wide deadline / cancellation / metrics. These are copied into
   // each item's EvalOptions when the corresponding eval field is unset, so

@@ -97,9 +97,7 @@ void SemanticCache::Clear() {
 
 std::string EvalOptionsFingerprint(const EvalOptions& options) {
   std::ostringstream os;
-  os << "s=" << (options.strategy == EvalStrategy::kBitset ? "bitset"
-                                                           : "baseline")
-     << ";rc=" << options.max_region_candidates
+  os << "rc=" << options.max_region_candidates
      << ";es=" << options.max_enumeration_steps
      << ";t=" << options.num_threads << ";p=" << (options.plan ? 1 : 0);
   return os.str();

@@ -99,8 +99,8 @@ class SemanticCache {
 };
 
 // The verdict-relevant slice of EvalOptions, rendered deterministically:
-// strategy, budgets, thread count and the plan flag — everything that can
-// move a budget-exhaustion point or change which evaluator runs. Deadline,
+// budgets, thread count and the plan flag — everything that can move a
+// budget-exhaustion point or change which query is evaluated. Deadline,
 // cancel token and metrics sink are excluded (they never change a
 // successful verdict, and errors are not cached).
 std::string EvalOptionsFingerprint(const EvalOptions& options);

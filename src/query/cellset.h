@@ -17,7 +17,7 @@ namespace topodb {
 // value type of the fast Section-7 evaluator (eval.cc): every atom of the
 // region language reduces to word-parallel AND/OR/subset/emptiness tests
 // over these, so evaluation cost per atom is O(cells / 64) instead of the
-// byte-per-cell loops of the baseline evaluator.
+// byte-per-cell loops of the reference evaluator (tests/query_reference.h).
 //
 // The word kernels (Intersects, IsSubsetOf, Count, bulk AND/OR/ANDNOT)
 // additionally carry an AVX2 path processing four words per step with a
@@ -216,7 +216,8 @@ class CellSet {
     }
   }
 
-  // Conversions to/from the baseline evaluator's byte-per-cell encoding.
+  // Conversions to/from the byte-per-cell encoding of the reference oracle
+  // (tests/query_reference.h).
   std::vector<char> ToCharVector() const {
     std::vector<char> out(bits_, 0);
     ForEachSetBit([&](int i) { out[i] = 1; });

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <bit>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -20,22 +18,8 @@ namespace topodb {
 
 namespace {
 
-bool AnyCommon(const std::vector<char>& a, const std::vector<char>& b) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] && b[i]) return true;
-  }
-  return false;
-}
-
-bool SubsetOf(const std::vector<char>& a, const std::vector<char>& b) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] && !b[i]) return false;
-  }
-  return true;
-}
-
-// Both evaluators produce these errors at the same enumeration points, so
-// verdicts (and error messages) are strategy-independent.
+// The reference oracle (tests/query_reference.cc) produces these errors,
+// with these messages, at the same enumeration points.
 Status BudgetExhaustedError(int64_t limit) {
   return Status::ResourceExhausted(
       "region quantifier candidate budget exhausted (max_region_candidates=" +
@@ -52,9 +36,10 @@ Status StepsExhaustedError(int64_t limit) {
 
 // Resumable enumerator of the raw region-quantifier candidates: connected
 // face sets of the dual graph, each produced exactly once (enumeration by
-// canonical root + forbidden set), in exactly the order of the baseline
-// evaluator's recursive enumeration — the explicit stack mirrors its
-// call tree, which is what makes budget accounting strategy-independent.
+// canonical root + forbidden set), in exactly the order of the reference
+// oracle's recursive enumeration (tests/query_reference.cc) — the explicit
+// stack mirrors its call tree, which is what makes budget error points a
+// property of the instance alone.
 class RawCandidateEnumerator {
  public:
   explicit RawCandidateEnumerator(const std::vector<std::vector<int>>& dual)
@@ -259,7 +244,8 @@ void QueryEngine::BuildUniverse() {
   ne_ = static_cast<int>(complex_.edges().size());
   nf_ = static_cast<int>(complex_.faces().size());
   const int total = nv_ + ne_ + nf_;
-  closure_.assign(total, {});
+  // Boundary cells per cell, excluding the cell itself.
+  std::vector<std::vector<int>> closure(total);
   incidence_.assign(total, {});
   face_dual_.assign(nf_, {});
   vertex_faces_.assign(nv_, {});
@@ -275,8 +261,8 @@ void QueryEngine::BuildUniverse() {
 
   for (int e = 0; e < ne_; ++e) {
     auto [u, v] = complex_.EdgeEndpoints(e);
-    closure_[edge_cell(e)].push_back(u);
-    if (v != u) closure_[edge_cell(e)].push_back(v);
+    closure[edge_cell(e)].push_back(u);
+    if (v != u) closure[edge_cell(e)].push_back(v);
     add_incidence(edge_cell(e), u);
     if (v != u) add_incidence(edge_cell(e), v);
   }
@@ -293,7 +279,7 @@ void QueryEngine::BuildUniverse() {
       }
     }
     for (int cell : boundary) {
-      closure_[face_cell(f)].push_back(cell);
+      closure[face_cell(f)].push_back(cell);
       if (cell >= nv_) add_incidence(face_cell(f), cell);  // Face-edge.
     }
   }
@@ -344,152 +330,34 @@ void QueryEngine::BuildUniverse() {
       }
     }
   }
-  // Region values: cells with interior sign.
-  const int total_cells = total;
-  for (size_t r = 0; r < complex_.region_names().size(); ++r) {
-    std::vector<char> value(total_cells, 0);
-    for (int v = 0; v < nv_; ++v) {
-      if (complex_.vertices()[v].label[r] == Sign::kInterior) value[v] = 1;
-    }
-    for (int e = 0; e < ne_; ++e) {
-      if (complex_.edges()[e].label[r] == Sign::kInterior) {
-        value[edge_cell(e)] = 1;
-      }
-    }
-    for (int f = 0; f < nf_; ++f) {
-      if (complex_.faces()[f].label[r] == Sign::kInterior) {
-        value[face_cell(f)] = 1;
-      }
-    }
-    region_values_[complex_.region_names()[r]] = std::move(value);
-  }
   // The bitset universe: per-cell closures including the cell itself, so
   // the closure of any set is the word-parallel OR of its members'.
   closure_bits_.assign(total, CellSet(total));
   for (int c = 0; c < total; ++c) {
     closure_bits_[c].Set(c);
-    for (int b : closure_[c]) closure_bits_[c].Set(b);
+    for (int b : closure[c]) closure_bits_[c].Set(b);
   }
-  for (const auto& [name, value] : region_values_) {
-    CellSet bits = CellSet::FromCharVector(value);
+  // Region values: cells with interior sign.
+  for (size_t r = 0; r < complex_.region_names().size(); ++r) {
+    CellSet bits(total);
+    for (int v = 0; v < nv_; ++v) {
+      if (complex_.vertices()[v].label[r] == Sign::kInterior) bits.Set(v);
+    }
+    for (int e = 0; e < ne_; ++e) {
+      if (complex_.edges()[e].label[r] == Sign::kInterior) {
+        bits.Set(edge_cell(e));
+      }
+    }
+    for (int f = 0; f < nf_; ++f) {
+      if (complex_.faces()[f].label[r] == Sign::kInterior) {
+        bits.Set(face_cell(f));
+      }
+    }
+    const std::string& name = complex_.region_names()[r];
     region_closure_bits_[name] = ClosureBits(bits);
     region_bits_[name] = std::move(bits);
   }
   caches_ = std::make_unique<QueryCaches>();
-}
-
-Result<std::vector<char>> QueryEngine::RegionValue(
-    const std::string& name) const {
-  auto it = region_values_.find(name);
-  if (it == region_values_.end()) {
-    return Status::NotFound("no region named " + name);
-  }
-  return it->second;
-}
-
-bool QueryEngine::IsDiscValue(const std::vector<char>& face_set,
-                              std::vector<char>* completed) const {
-  const int total = nv_ + ne_ + nf_;
-  std::vector<char>& s = *completed;
-  s.assign(total, 0);
-  bool any = false;
-  for (int f = 0; f < nf_; ++f) {
-    if (face_set[f]) {
-      s[nv_ + ne_ + f] = 1;
-      any = true;
-    }
-  }
-  if (!any) return false;
-  // Completion: edges with both sides in, vertices with everything in.
-  for (int e = 0; e < ne_; ++e) {
-    auto [lf, rf] = edge_faces_[e];
-    if (face_set[lf] && face_set[rf]) s[nv_ + e] = 1;
-  }
-  for (int v = 0; v < nv_; ++v) {
-    // A vertex with no incident darts (hence no incident faces) lies in
-    // the closure of no chosen face: it must be skipped, not vacuously
-    // completed into every candidate. The arrangement never emits such
-    // vertices today, but the rule is explicit so that can never change
-    // silently.
-    if (vertex_faces_[v].empty()) continue;
-    bool all = true;
-    for (int f : vertex_faces_[v]) {
-      if (!face_set[f]) {
-        all = false;
-        break;
-      }
-    }
-    if (!all) continue;
-    // All incident edges must be in too (they are: both their faces are).
-    s[v] = 1;
-  }
-  // Connectivity of S over the incidence graph.
-  {
-    int start = -1, count = 0;
-    for (int c = 0; c < total; ++c) {
-      if (s[c]) {
-        ++count;
-        start = c;
-      }
-    }
-    std::vector<char> seen(total, 0);
-    std::queue<int> queue;
-    seen[start] = 1;
-    queue.push(start);
-    int reached = 1;
-    while (!queue.empty()) {
-      int c = queue.front();
-      queue.pop();
-      for (int d : incidence_[c]) {
-        if (s[d] && !seen[d]) {
-          seen[d] = 1;
-          ++reached;
-          queue.push(d);
-        }
-      }
-    }
-    if (reached != count) return false;
-  }
-  // Sphere-complement connectivity: complement cells plus a point at
-  // infinity attached to the unbounded face.
-  {
-    const int infinity = total;
-    std::vector<char> seen(total + 1, 0);
-    std::queue<int> queue;
-    seen[infinity] = 1;
-    queue.push(infinity);
-    int complement = 1;
-    for (int c = 0; c < total; ++c) {
-      if (!s[c]) ++complement;
-    }
-    const int exterior_cell = nv_ + ne_ + complex_.exterior_face();
-    int reached = 1;
-    while (!queue.empty()) {
-      int c = queue.front();
-      queue.pop();
-      if (c == infinity) {
-        if (!s[exterior_cell] && !seen[exterior_cell]) {
-          seen[exterior_cell] = 1;
-          ++reached;
-          queue.push(exterior_cell);
-        }
-        continue;
-      }
-      for (int d : incidence_[c]) {
-        if (!s[d] && !seen[d]) {
-          seen[d] = 1;
-          ++reached;
-          queue.push(d);
-        }
-      }
-      if (c == exterior_cell && !seen[infinity]) {
-        seen[infinity] = 1;
-        ++reached;
-      }
-    }
-    if (reached != complement) return false;
-  }
-  return true;
 }
 
 bool QueryEngine::ComputeDiscValueBits(const CellSet& face_set,
@@ -504,7 +372,7 @@ bool QueryEngine::ComputeDiscValueBits(const CellSet& face_set,
     if (face_set.Test(lf) && face_set.Test(rf)) completed->Set(nv_ + e);
   }
   for (int v = 0; v < nv_; ++v) {
-    if (vertex_faces_[v].empty()) continue;  // Same rule as IsDiscValue.
+    if (vertex_faces_[v].empty()) continue;  // See IsDiscValue (eval.h).
     bool all = true;
     for (int f : vertex_faces_[v]) {
       if (!face_set.Test(f)) {
@@ -746,7 +614,7 @@ Result<const QueryEngine::DiscValue*> QueryEngine::FetchDiscValue(
   std::lock_guard<std::mutex> lock(caches.range_mu);
   while (static_cast<int64_t>(caches.values.size()) <= k &&
          !caches.exhausted) {
-    // The next raw candidate would be number raw_total + 1; the baseline
+    // The next raw candidate would be number raw_total + 1; a fresh
     // enumeration errors when its per-instantiation counter exceeds
     // max_steps, and every instantiation replays the same prefix of the
     // same sequence, so the global counter is exactly its counter.
@@ -802,287 +670,6 @@ Result<const QueryEngine::DiscValue*> QueryEngine::FetchDiscValue(
   if (caches.raw_total > max_steps) return StepsExhaustedError(max_steps);
   return static_cast<const DiscValue*>(nullptr);
 }
-
-// --- Baseline evaluation (byte-per-cell reference semantics) ---
-
-class BaselineEvaluator {
- public:
-  struct Env {
-    std::map<std::string, std::vector<char>> cells;  // Region/cell vars.
-    std::map<std::string, std::string> names;        // Name variables.
-  };
-
-  BaselineEvaluator(const QueryEngine& engine, const EvalOptions& options)
-      : engine_(engine),
-        budget_(options.max_region_candidates),
-        budget_limit_(options.max_region_candidates),
-        max_steps_(options.max_enumeration_steps),
-        stop_(options.deadline, options.cancel),
-        stop_armed_(stop_.armed()) {}
-
-  // Work tallies, flushed to EvalOptions::metrics by the caller (plain
-  // locals here so the hot path never touches shared state).
-  uint64_t atoms() const { return atoms_; }
-  uint64_t bindings() const { return bindings_; }
-
-  Result<bool> Eval(const FormulaPtr& formula, Env* env) {
-    switch (formula->kind) {
-      case Formula::Kind::kTrue: return true;
-      case Formula::Kind::kFalse: return false;
-      case Formula::Kind::kAtom: return EvalAtom(*formula, env);
-      case Formula::Kind::kNameEq: {
-        TOPODB_ASSIGN_OR_RETURN(std::string a, NameOf(formula->lhs, env));
-        TOPODB_ASSIGN_OR_RETURN(std::string b, NameOf(formula->rhs, env));
-        return a == b;
-      }
-      case Formula::Kind::kNot: {
-        TOPODB_ASSIGN_OR_RETURN(bool v, Eval(formula->left, env));
-        return !v;
-      }
-      case Formula::Kind::kAnd: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        if (!a) return false;
-        return Eval(formula->right, env);
-      }
-      case Formula::Kind::kOr: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        if (a) return true;
-        return Eval(formula->right, env);
-      }
-      case Formula::Kind::kImplies: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        if (!a) return true;
-        return Eval(formula->right, env);
-      }
-      case Formula::Kind::kIff: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        TOPODB_ASSIGN_OR_RETURN(bool b, Eval(formula->right, env));
-        return a == b;
-      }
-      case Formula::Kind::kExists:
-      case Formula::Kind::kForall:
-        return EvalQuantifier(*formula, env);
-    }
-    TOPODB_UNREACHABLE();
-  }
-
- private:
-  Result<std::string> NameOf(const Term& term, Env* env) {
-    if (term.kind == Term::Kind::kNameConstant) return term.text;
-    auto it = env->names.find(term.text);
-    if (it == env->names.end()) {
-      return Status::InvalidArgument("'" + term.text +
-                                     "' is not a name in this context");
-    }
-    return it->second;
-  }
-
-  Result<std::vector<char>> ValueOf(const Term& term, Env* env) {
-    if (term.kind == Term::Kind::kVariable) {
-      auto cell_it = env->cells.find(term.text);
-      if (cell_it != env->cells.end()) return cell_it->second;
-      auto name_it = env->names.find(term.text);
-      if (name_it != env->names.end()) {
-        return engine_.RegionValue(name_it->second);
-      }
-      return Status::InvalidArgument("unbound variable " + term.text);
-    }
-    return engine_.RegionValue(term.text);
-  }
-
-  std::vector<char> Closure(const std::vector<char>& s) const {
-    std::vector<char> out = s;
-    for (size_t c = 0; c < s.size(); ++c) {
-      if (!s[c]) continue;
-      for (int b : engine_.closure_[c]) out[b] = 1;
-    }
-    return out;
-  }
-
-  Result<bool> EvalAtom(const Formula& atom, Env* env) {
-    ++atoms_;
-    TOPODB_ASSIGN_OR_RETURN(std::vector<char> s, ValueOf(atom.lhs, env));
-    TOPODB_ASSIGN_OR_RETURN(std::vector<char> t, ValueOf(atom.rhs, env));
-    const std::vector<char> cs = Closure(s);
-    const std::vector<char> ct = Closure(t);
-    auto boundary = [](const std::vector<char>& closure,
-                       const std::vector<char>& interior) {
-      std::vector<char> b = closure;
-      for (size_t i = 0; i < b.size(); ++i) {
-        if (interior[i]) b[i] = 0;
-      }
-      return b;
-    };
-    switch (atom.predicate) {
-      case Predicate::kConnect: return AnyCommon(cs, ct);
-      case Predicate::kDisjoint: return !AnyCommon(cs, ct);
-      case Predicate::kIntersects: return AnyCommon(s, t);
-      case Predicate::kSubset: return SubsetOf(s, t);
-      case Predicate::kBoundaryPart: return SubsetOf(s, boundary(ct, t));
-      case Predicate::kEqual: return s == t;
-      case Predicate::kOverlap:
-        return AnyCommon(s, t) && !SubsetOf(s, t) && !SubsetOf(t, s);
-      case Predicate::kMeet:
-        return AnyCommon(cs, ct) && !AnyCommon(s, t);
-      case Predicate::kInside:
-        return s != t && SubsetOf(s, t) &&
-               !AnyCommon(boundary(cs, s), boundary(ct, t));
-      case Predicate::kContains:
-        return s != t && SubsetOf(t, s) &&
-               !AnyCommon(boundary(cs, s), boundary(ct, t));
-      case Predicate::kCovers:
-        return s != t && SubsetOf(t, s) &&
-               AnyCommon(boundary(cs, s), boundary(ct, t));
-      case Predicate::kCoveredBy:
-        return s != t && SubsetOf(s, t) &&
-               AnyCommon(boundary(cs, s), boundary(ct, t));
-    }
-    TOPODB_UNREACHABLE();
-  }
-
-  Result<bool> EvalQuantifier(const Formula& formula, Env* env) {
-    const bool exists = formula.kind == Formula::Kind::kExists;
-    switch (formula.var_kind) {
-      case Formula::VarKind::kName: {
-        for (const std::string& name : engine_.complex_.region_names()) {
-          if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
-          ++bindings_;
-          env->names[formula.var] = name;
-          Result<bool> v = Eval(formula.body, env);
-          env->names.erase(formula.var);
-          TOPODB_ASSIGN_OR_RETURN(bool value, std::move(v));
-          if (value == exists) return exists;
-        }
-        return !exists;
-      }
-      case Formula::VarKind::kCell: {
-        const size_t total = engine_.num_cells();
-        for (size_t c = 0; c < total; ++c) {
-          if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
-          ++bindings_;
-          std::vector<char> value(total, 0);
-          value[c] = 1;
-          env->cells[formula.var] = std::move(value);
-          Result<bool> v = Eval(formula.body, env);
-          env->cells.erase(formula.var);
-          TOPODB_ASSIGN_OR_RETURN(bool result, std::move(v));
-          if (result == exists) return exists;
-        }
-        return !exists;
-      }
-      case Formula::VarKind::kRegion:
-        return EvalRegionQuantifier(exists, formula, env);
-      case Formula::VarKind::kRect:
-        return Status::Unsupported(
-            "rect quantifiers are evaluated by RectQueryEngine");
-    }
-    TOPODB_UNREACHABLE();
-  }
-
-  // Enumerates completions of dual-connected face sets that are discs;
-  // each connected set is produced exactly once (enumeration by canonical
-  // root + forbidden set). The budget is charged per *disc* value, after
-  // the disc check, so exhaustion points depend only on the instance's
-  // topology (see EvalOptions::max_region_candidates); the raw step guard
-  // bounds the work spent between discs.
-  Result<bool> EvalRegionQuantifier(bool exists, const Formula& formula,
-                                    Env* env) {
-    const int nf = engine_.nf_;
-    std::vector<char> chosen(nf, 0);
-    std::vector<char> banned(nf, 0);
-    std::optional<bool> verdict;
-    Status error = Status::OK();
-    int64_t raw_steps = 0;  // Per-instantiation enumeration counter.
-
-    // Returns true to stop the whole enumeration.
-    std::function<bool()> process = [&]() {
-      if (++raw_steps > max_steps_) {
-        error = StepsExhaustedError(max_steps_);
-        return true;
-      }
-      // Cancellation checkpoint, once per ~1k raw candidates — the stretch
-      // between disc values is the only unbounded work in this loop.
-      if (stop_armed_ && (raw_steps & 1023) == 0 && stop_.ShouldStop()) {
-        error = stop_.Check();
-        return true;
-      }
-      std::vector<char> completed;
-      if (!engine_.IsDiscValue(chosen, &completed)) return false;
-      if (--budget_ < 0) {
-        error = BudgetExhaustedError(budget_limit_);
-        return true;
-      }
-      if (stop_armed_ && stop_.ShouldStop()) {
-        error = stop_.Check();
-        return true;
-      }
-      ++bindings_;
-      env->cells[formula.var] = std::move(completed);
-      Result<bool> v = Eval(formula.body, env);
-      env->cells.erase(formula.var);
-      if (!v.ok()) {
-        error = v.status();
-        return true;
-      }
-      if (*v == exists) {
-        verdict = exists;
-        return true;
-      }
-      return false;
-    };
-
-    std::function<bool()> spawn = [&]() -> bool {
-      if (process()) return true;
-      // Frontier: faces adjacent to the chosen set, not banned.
-      std::vector<int> frontier;
-      for (int f = 0; f < nf; ++f) {
-        if (!chosen[f]) continue;
-        for (int g : engine_.face_dual_[f]) {
-          if (!chosen[g] && !banned[g]) frontier.push_back(g);
-        }
-      }
-      std::sort(frontier.begin(), frontier.end());
-      frontier.erase(std::unique(frontier.begin(), frontier.end()),
-                     frontier.end());
-      std::vector<int> added_bans;
-      bool stop = false;
-      for (int g : frontier) {
-        if (banned[g]) continue;  // Banned by an earlier sibling.
-        chosen[g] = 1;
-        stop = spawn();
-        chosen[g] = 0;
-        if (stop) break;
-        banned[g] = 1;
-        added_bans.push_back(g);
-      }
-      for (int g : added_bans) banned[g] = 0;
-      return stop;
-    };
-
-    for (int root = 0; root < nf && !verdict.has_value() && error.ok();
-         ++root) {
-      std::fill(chosen.begin(), chosen.end(), 0);
-      std::fill(banned.begin(), banned.end(), 0);
-      for (int f = 0; f < root; ++f) banned[f] = 1;
-      chosen[root] = 1;
-      if (spawn()) break;
-    }
-    TOPODB_RETURN_NOT_OK(error);
-    if (verdict.has_value()) return *verdict;
-    return !exists;
-  }
-
-  const QueryEngine& engine_;
-  int64_t budget_;
-  const int64_t budget_limit_;
-  const int64_t max_steps_;
-  const StopSignal stop_;
-  // Hoisted stop_.armed(): the common un-deadlined evaluation pays one
-  // constant-member test per checkpoint instead of re-deriving armedness.
-  const bool stop_armed_;
-  uint64_t atoms_ = 0;
-  uint64_t bindings_ = 0;
-};
 
 // --- Bitset evaluation (packed words, shared memoized quantifier range) ---
 
@@ -1383,29 +970,6 @@ Result<bool> QueryEngine::EvaluateParallel(const FormulaPtr& query,
       RegistryCounter(options.metrics, "query.bindings");
 
   auto eval_binding = [&](int64_t i) -> Result<bool> {
-    if (options.strategy == EvalStrategy::kBaseline) {
-      BaselineEvaluator evaluator(*this, options);
-      BaselineEvaluator::Env env;
-      switch (formula.var_kind) {
-        case Formula::VarKind::kName:
-          env.names[formula.var] = complex_.region_names()[i];
-          break;
-        case Formula::VarKind::kCell: {
-          std::vector<char> value(num_cells(), 0);
-          value[i] = 1;
-          env.cells[formula.var] = std::move(value);
-          break;
-        }
-        case Formula::VarKind::kRegion:
-          env.cells[formula.var] = discs[i]->cells.ToCharVector();
-          break;
-        case Formula::VarKind::kRect: break;  // Unreachable.
-      }
-      Result<bool> v = evaluator.Eval(formula.body, &env);
-      CounterAdd(atoms_counter, evaluator.atoms());
-      CounterAdd(bindings_counter, evaluator.bindings());
-      return v;
-    }
     BitsetEvaluator evaluator(*this, options);
     BitsetEvaluator::Env env;
     switch (formula.var_kind) {
@@ -1493,14 +1057,6 @@ Result<bool> QueryEngine::EvaluateDispatch(const FormulaPtr& query,
   Counter* atoms_counter = RegistryCounter(options.metrics, "query.atoms");
   Counter* bindings_counter =
       RegistryCounter(options.metrics, "query.bindings");
-  if (options.strategy == EvalStrategy::kBaseline) {
-    BaselineEvaluator evaluator(*this, options);
-    BaselineEvaluator::Env env;
-    Result<bool> result = evaluator.Eval(query, &env);
-    CounterAdd(atoms_counter, evaluator.atoms());
-    CounterAdd(bindings_counter, evaluator.bindings());
-    return result;
-  }
   BitsetEvaluator evaluator(*this, options);
   BitsetEvaluator::Env env;
   Result<bool> result = evaluator.Eval(query, &env);
@@ -1514,7 +1070,7 @@ Status QueryEngine::ValidateAtomNames(const Formula& query) const {
     case Formula::Kind::kAtom:
       for (const Term* term : {&query.lhs, &query.rhs}) {
         if (term->kind == Term::Kind::kNameConstant &&
-            region_values_.find(term->text) == region_values_.end()) {
+            region_bits_.find(term->text) == region_bits_.end()) {
           return Status::NotFound("no region named " + term->text);
         }
       }
@@ -1539,7 +1095,7 @@ Status QueryEngine::ValidateAtomNames(const Formula& query) const {
 
 SelectivityStats QueryEngine::planner_stats() const {
   SelectivityStats stats;
-  stats.num_names = static_cast<int64_t>(region_values_.size());
+  stats.num_names = static_cast<int64_t>(region_bits_.size());
   stats.num_cells = static_cast<int64_t>(num_cells());
   stats.num_faces = nf_;
   stats.materialized_discs = cache_stats().materialized_discs;

@@ -27,22 +27,6 @@ namespace topodb {
 // pipeline dependency.
 class SemanticCache;
 
-// Which evaluator answers a query. Both produce identical verdicts and
-// identical error points (the differential property suite asserts this);
-// they differ only in running time.
-enum class EvalStrategy {
-  // Packed-word cell sets (cellset.h): closures precomputed per cell,
-  // atoms evaluated by word-parallel bit operations, disc checks memoized
-  // per face-set hash, and the region-quantifier range materialized once
-  // per engine and shared across bindings, evaluations and batches. The
-  // default.
-  kBitset,
-  // The byte-per-cell reference evaluator: per-atom closure recomputation
-  // and a fresh unmemoized disc-union enumeration per quantifier binding.
-  // Kept selectable so correctness of every optimization is testable.
-  kBaseline,
-};
-
 struct EvalOptions {
   // Budget of legitimate region values (open-disc candidates) consumed
   // across all region quantifiers of one evaluation. The Section-7
@@ -58,11 +42,10 @@ struct EvalOptions {
   // instantiation (disc values are typically dense among connected sets,
   // but a pathological instance could interleave exponentially many
   // non-disc candidates between discs, which max_region_candidates alone
-  // would not bound). Both evaluators charge this identically, so verdicts
-  // stay aligned.
+  // would not bound). Raw candidates are counted in the order of a
+  // recursive depth-first enumeration, so the error point is the same
+  // for every evaluation of the same instance and limit.
   int64_t max_enumeration_steps = int64_t{1} << 22;
-  // Evaluator selection; see EvalStrategy.
-  EvalStrategy strategy = EvalStrategy::kBitset;
   // When > 1 and the query's outermost connective is a name/cell/region
   // quantifier, its bindings are fanned across this many threads; the
   // first witness (exists) or counterexample (forall) wins via an atomic
@@ -121,8 +104,8 @@ struct EvalOptions {
 //   - atoms are connect and the 4-intersection relationships, evaluated
 //     exactly on cell sets.
 //
-// Evaluate is const and thread-safe: the bitset evaluator's shared caches
-// (the memoized disc checks and the materialized region-quantifier range)
+// Evaluate is const and thread-safe: the engine's shared caches (the
+// memoized disc checks and the materialized region-quantifier range)
 // are internally synchronized, so one engine can serve many concurrent
 // evaluations (see pipeline/query_batch.h).
 class QueryEngine {
@@ -143,16 +126,17 @@ class QueryEngine {
   const CellComplex& complex() const { return complex_; }
 
   // Number of cells in the universe (vertices + edges + faces).
-  size_t num_cells() const { return closure_.size(); }
+  size_t num_cells() const { return static_cast<size_t>(nv_ + ne_ + nf_); }
 
-  // The cell set denoting ext(name); empty Result if unknown name.
-  Result<std::vector<char>> RegionValue(const std::string& name) const;
-
-  // True iff the completion of the face set is an open disc (used by the
-  // quantifier range; exposed for tests and benches). This is the
-  // unmemoized reference implementation the baseline evaluator uses; the
-  // bitset evaluator's memoized CellSet twin is asserted equivalent by the
-  // differential property suite.
+  // True iff the completion of the face set is an open disc: the check
+  // behind the region-quantifier range, exposed for tests and benches.
+  // Memoized per face-set hash (full-key equality confirms hits), so
+  // repeated checks of the same face set — from any thread — pay the
+  // topology BFS once. On a miss it runs the face-level fast check when
+  // the complex has no dart-less vertex, the exact cell-level check
+  // otherwise; the differential property suite asserts agreement with the
+  // byte-per-cell reference (tests/query_reference.h). On a non-disc
+  // result *completed is empty.
   //
   // Completion rule, explicitly: a vertex joins the completion iff it has
   // at least one incident face and all of its incident faces are chosen.
@@ -161,16 +145,6 @@ class QueryEngine {
   // vertex must be *skipped*, not vacuously included: it lies in the
   // closure of no chosen face, so completing it into every candidate
   // would silently poison connectivity.
-  bool IsDiscValue(const std::vector<char>& face_set,
-                   std::vector<char>* completed) const;
-
-  // CellSet twin of the above, memoized per face-set hash (full-key
-  // equality confirms hits): repeated checks of the same face set — from
-  // any thread — pay the topology BFS once. On a miss it runs the
-  // face-level fast check when the complex has no dart-less vertex, the
-  // exact cell-level check otherwise; the differential property suite
-  // asserts agreement with the reference overload. On a non-disc result
-  // *completed is empty.
   bool IsDiscValue(const CellSet& face_set, CellSet* completed) const;
 
   // Cumulative shared-cache statistics since Build (all evaluations and
@@ -192,7 +166,6 @@ class QueryEngine {
   SelectivityStats planner_stats() const;
 
  private:
-  friend class BaselineEvaluator;
   friend class BitsetEvaluator;
 
   explicit QueryEngine(CellComplex complex);
@@ -228,9 +201,9 @@ class QueryEngine {
   // range, lazily extending it (thread-safe); nullptr when the range is
   // exhausted before k. Errors with ResourceExhausted when reaching the
   // k-th disc (or exhaustion) would take more than max_steps raw
-  // candidates — the same iteration point at which the baseline
-  // evaluator's fresh enumeration errors. `stop` is polled every ~1k raw
-  // candidates while extending the range.
+  // candidates — the iteration point at which a fresh enumeration of the
+  // range would error. `stop` is polled every ~1k raw candidates while
+  // extending the range.
   Result<const DiscValue*> FetchDiscValue(int64_t k, int64_t max_steps,
                                           const StopSignal& stop) const;
 
@@ -242,7 +215,7 @@ class QueryEngine {
   Result<bool> EvaluateParallel(const FormulaPtr& query,
                                 const EvalOptions& options) const;
 
-  // Strategy/parallelism dispatch behind the validated, instrumented
+  // Serial/parallel dispatch behind the validated, instrumented
   // Evaluate entry point.
   Result<bool> EvaluateDispatch(const FormulaPtr& query,
                                 const EvalOptions& options) const;
@@ -260,8 +233,6 @@ class QueryEngine {
   CellComplex complex_;
   // Cell ids: [0, nv) vertices, [nv, nv+ne) edges, [nv+ne, nv+ne+nf) faces.
   int nv_ = 0, ne_ = 0, nf_ = 0;
-  std::vector<std::vector<int>> closure_;    // Boundary cells per cell
-                                             // (excluding the cell itself).
   std::vector<std::vector<int>> incidence_;  // Symmetric incidence graph.
   std::vector<std::vector<int>> face_dual_;  // Faces sharing an edge
                                              // (face-local indices).
@@ -277,12 +248,11 @@ class QueryEngine {
                                       // exact cell-level disc check.)
   std::vector<std::vector<int>> vertex_faces_;  // Incident faces per vertex.
   std::vector<std::pair<int, int>> edge_faces_;  // EdgeFaces(e), flattened.
-  std::map<std::string, std::vector<char>> region_values_;
 
   // Bitset universe: per-cell closures *including* the cell itself, so the
   // closure of any set is the word-parallel OR over its members.
   std::vector<CellSet> closure_bits_;
-  std::map<std::string, CellSet> region_bits_;
+  std::map<std::string, CellSet> region_bits_;  // ext(name) per region.
   std::map<std::string, CellSet> region_closure_bits_;
 
   // Internally synchronized mutable caches (disc-check memo + materialized

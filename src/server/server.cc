@@ -655,7 +655,7 @@ struct TopoDbServer::Impl {
         TOPODB_ASSIGN_OR_RETURN(InstanceRef ref, reader.ReadInstanceRef());
         TOPODB_ASSIGN_OR_RETURN(std::string query, reader.ReadWireString());
         TOPODB_RETURN_NOT_OK(reader.ExpectEnd());
-        EvalOptions eval = options.eval;
+        EvalOptions eval;
         eval.deadline = item.deadline;
         eval.cancel = &drain_cancel;
         eval.metrics = registry;

@@ -62,10 +62,6 @@ struct ServerOptions {
   // rejected with InvalidArgument (a denial-of-service guard, same idea
   // as kMaxWirePayloadBytes).
   size_t max_batch_items = 1024;
-  // Per-evaluation knobs for EVAL_QUERY (strategy, enumeration budgets).
-  // Deadline/cancel/metrics fields are overwritten per request, as are
-  // the plan flag and the semantic-cache plumbing (see below).
-  EvalOptions eval;
   // Run the query-planning pass (src/query/plan.h) on every EVAL_QUERY:
   // canonicalize, then reorder commutative operands and quantifier runs
   // by selectivity. Planned evaluation is verdict-identical to unplanned

@@ -1,10 +1,11 @@
-// Differential properties of the query layer: the baseline (byte-per-cell)
-// evaluator, the bitset evaluator and its parallel fan-out must produce
-// identical verdicts AND identical error points on every input, and the
-// name-level atoms must agree with verdicts derived independently from the
-// thematic mapping's RegionFaces table. These suites are what licenses
-// every optimization in eval.cc: any divergence is a bug in one of the
-// evaluators, never acceptable drift.
+// Differential properties of the query layer: QueryEngine — serial and
+// with its parallel fan-out, planned and unplanned — must produce the
+// verdicts AND the error points of the byte-per-cell reference oracle
+// (tests/query_reference.h) on every input, and the name-level atoms must
+// agree with verdicts derived independently from the thematic mapping's
+// RegionFaces table. A "strategy" below is one of these evaluation paths.
+// These suites are what licenses every optimization in eval.cc: any
+// divergence is a bug, never acceptable drift.
 
 #include <algorithm>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "src/region/fixtures.h"
 #include "src/thematic/thematic.h"
 #include "src/workload/generators.h"
+#include "tests/query_reference.h"
 
 namespace topodb {
 namespace {
@@ -37,6 +39,18 @@ const char* const kGenericQueries[] = {
     "(connect(a, b) iff connect(b, a))",
     "exists cell c . forall name a . subset(c, a)",
     "forall cell c . exists region r . subset(c, r)",
+    // The next two hold only if the engine's per-cell closures and region
+    // values are complete, which pins its universe against the one the
+    // reference derives on its own. Every vertex or edge lies on the
+    // boundary of some face (a cell on no boundary)...
+    "forall cell c . (exists cell d . boundarypart(c, d)) implies "
+    "exists cell f . boundarypart(c, f) and "
+    "not exists cell g . boundarypart(f, g)",
+    // ...and a vertex or edge whose cobounding cells all lie in a is
+    // interior to a.
+    "forall name a . forall cell c . ((exists cell f . boundarypart(c, f)) "
+    "and forall cell f . (boundarypart(c, f) implies subset(f, a))) "
+    "implies subset(c, a)",
 };
 
 std::vector<SpatialInstance> DiffWorkload() {
@@ -51,22 +65,22 @@ std::vector<SpatialInstance> DiffWorkload() {
   return instances;
 }
 
-// Evaluates the query under every strategy (baseline, bitset, bitset with
-// a 3-thread fan-out) and asserts the outcomes are interchangeable: same
-// verdict on success, same status code and message on failure.
-void ExpectStrategiesAgree(const QueryEngine& engine, const std::string& query,
+// Evaluates the query with the reference, the engine and the engine's
+// 3-thread fan-out (each engine run with `base`'s plan flag) and asserts
+// the outcomes are interchangeable: same verdict on success, same status
+// code and message on failure.
+void ExpectStrategiesAgree(const QueryEngine& engine,
+                           const QueryReference& reference,
+                           const std::string& query,
                            const EvalOptions& base = {}) {
-  EvalOptions baseline = base;
-  baseline.strategy = EvalStrategy::kBaseline;
-  EvalOptions bitset = base;
-  bitset.strategy = EvalStrategy::kBitset;
-  EvalOptions threaded = bitset;
+  EvalOptions threaded = base;
   threaded.num_threads = 3;
 
-  Result<bool> a = engine.Evaluate(query, baseline);
-  Result<bool> b = engine.Evaluate(query, bitset);
-  ASSERT_EQ(a.ok(), b.ok()) << query << "\n baseline: " << a.status().ToString()
-                            << "\n bitset:   " << b.status().ToString();
+  Result<bool> a = reference.Evaluate(query, base);
+  Result<bool> b = engine.Evaluate(query, base);
+  ASSERT_EQ(a.ok(), b.ok()) << query << "\n reference: "
+                            << a.status().ToString()
+                            << "\n engine:    " << b.status().ToString();
   if (a.ok()) {
     EXPECT_EQ(*a, *b) << query;
     // The parallel fan-out splits the budget per binding, so its error
@@ -84,8 +98,9 @@ void ExpectStrategiesAgree(const QueryEngine& engine, const std::string& query,
 TEST(QueryDiffTest, StrategiesAgreeOnGenericCorpus) {
   for (const SpatialInstance& instance : DiffWorkload()) {
     QueryEngine engine = *QueryEngine::Build(instance);
+    const QueryReference reference(engine.complex());
     for (const char* query : kGenericQueries) {
-      ExpectStrategiesAgree(engine, query);
+      ExpectStrategiesAgree(engine, reference, query);
     }
   }
 }
@@ -97,48 +112,33 @@ TEST(QueryDiffTest, StrategiesAgreeOnPaperExamples) {
   };
   for (SpatialInstance instance : {Fig1aInstance(), Fig1bInstance()}) {
     QueryEngine engine = *QueryEngine::Build(instance);
-    for (const char* query : queries) ExpectStrategiesAgree(engine, query);
+    const QueryReference reference(engine.complex());
+    for (const char* query : queries) {
+      ExpectStrategiesAgree(engine, reference, query);
+    }
   }
 }
 
-// The planner (EvalOptions::plan) is a pure rewrite stage: for every
-// strategy and thread count, the planned evaluation must return exactly
-// the verdict of the unplanned one. Run the full differential workload
-// with and without planning, under each strategy, and require identical
-// outcomes pairwise.
+// The planner (EvalOptions::plan) is a pure rewrite stage: at every
+// thread count, the planned evaluation must return exactly the verdict of
+// the reference, which evaluates the query as written. Run the full
+// differential workload with and without planning.
 TEST(QueryDiffTest, PlannedMatchesUnplannedAcrossStrategiesAndWorkload) {
   for (const SpatialInstance& instance : DiffWorkload()) {
     QueryEngine engine = *QueryEngine::Build(instance);
+    const QueryReference reference(engine.complex());
     for (const char* query : kGenericQueries) {
-      for (const EvalStrategy strategy :
-           {EvalStrategy::kBaseline, EvalStrategy::kBitset}) {
-        for (const int threads : {1, 3}) {
-          EvalOptions unplanned;
-          unplanned.strategy = strategy;
-          unplanned.num_threads = threads;
-          EvalOptions planned = unplanned;
-          planned.plan = true;
-          const Result<bool> u = engine.Evaluate(query, unplanned);
-          const Result<bool> p = engine.Evaluate(query, planned);
-          ASSERT_EQ(u.ok(), p.ok())
-              << query << "\n unplanned: " << u.status().ToString()
-              << "\n planned:   " << p.status().ToString();
-          if (u.ok()) {
-            EXPECT_EQ(*u, *p) << query;
-          }
-        }
+      for (const bool plan : {false, true}) {
+        EvalOptions options;
+        options.plan = plan;
+        ExpectStrategiesAgree(engine, reference, query, options);
       }
-      // The planned path must also satisfy the cross-strategy agreement
-      // contract on its own.
-      EvalOptions plan_base;
-      plan_base.plan = true;
-      ExpectStrategiesAgree(engine, query, plan_base);
     }
   }
 }
 
 // Budget accounting is part of the observable semantics: for EVERY budget
-// value, both strategies must fail at the same point with the same message
+// value, the engine must fail at the reference's point with its message
 // (the budget is charged per disc value, after the disc check, so the
 // exhaustion point is a topological invariant of the instance — not an
 // artifact of which evaluator enumerates).
@@ -146,11 +146,12 @@ TEST(QueryDiffTest, BudgetErrorPointsAreStrategyIndependent) {
   for (SpatialInstance instance :
        {Fig1aInstance(), NestedInstance(), *CombInstance(2)}) {
     QueryEngine engine = *QueryEngine::Build(instance);
+    const QueryReference reference(engine.complex());
     for (int64_t budget = 1; budget <= 12; ++budget) {
       EvalOptions options;
       options.max_region_candidates = budget;
-      ExpectStrategiesAgree(engine, "forall region r . connect(r, r)",
-                            options);
+      ExpectStrategiesAgree(engine, reference,
+                            "forall region r . connect(r, r)", options);
     }
   }
 }
@@ -170,10 +171,22 @@ TEST(QueryDiffTest, BudgetErrorMessageNamesTheLimit) {
 
 TEST(QueryDiffTest, EnumerationStepsErrorPointsAreStrategyIndependent) {
   QueryEngine engine = *QueryEngine::Build(Fig1bInstance());
+  const QueryReference reference(engine.complex());
   for (int64_t steps : {int64_t{1}, int64_t{7}, int64_t{50}, int64_t{400}}) {
     EvalOptions options;
     options.max_enumeration_steps = steps;
-    ExpectStrategiesAgree(engine, "forall region r . connect(r, r)", options);
+    ExpectStrategiesAgree(engine, reference, "forall region r . connect(r, r)",
+                          options);
+  }
+  // The engine's shared range now holds the first 400 raw candidates, so
+  // these error points come from cached raw indices, not from extending
+  // the range. The first witness is raw candidate 13: the limit that just
+  // reaches it must succeed, and every smaller one must fail.
+  for (int64_t steps = 32; steps >= 1; --steps) {
+    EvalOptions options;
+    options.max_enumeration_steps = steps;
+    ExpectStrategiesAgree(engine, reference, "exists region r . covers(r, A)",
+                          options);
   }
 }
 
@@ -190,11 +203,11 @@ TEST(QueryDiffTest, StepsErrorMessageNamesTheLimit) {
       << result.status().ToString();
 }
 
-// --- IsDiscValue: reference vs memoized bitset implementation ---
+// --- IsDiscValue: reference vs the engine's memoized implementation ---
 
 // Exhaustively sweeps every subset of faces on small instances; the
-// reference (byte-per-cell) overload, the memoized CellSet overload, and a
-// repeated (memo-hit) call must agree on both the verdict and the
+// reference (byte-per-cell) check, the engine's memoized CellSet check,
+// and a repeated (memo-hit) call must agree on both the verdict and the
 // completed cell set.
 TEST(QueryDiffTest, DiscValueOverloadsAgreeOnAllFaceSubsets) {
   for (SpatialInstance instance :
@@ -202,6 +215,7 @@ TEST(QueryDiffTest, DiscValueOverloadsAgreeOnAllFaceSubsets) {
         DisjointPairInstance(), *CombInstance(2),
         *RandomRectInstance(4, 40, 11)}) {
     QueryEngine engine = *QueryEngine::Build(instance);
+    const QueryReference reference(engine.complex());
     const int nf = static_cast<int>(engine.complex().faces().size());
     ASSERT_LE(nf, 16) << "subset sweep would explode";
     for (uint32_t bits = 0; bits < (uint32_t{1} << nf); ++bits) {
@@ -215,7 +229,7 @@ TEST(QueryDiffTest, DiscValueOverloadsAgreeOnAllFaceSubsets) {
       }
       std::vector<char> completed_ref;
       CellSet completed_bits;
-      const bool ref = engine.IsDiscValue(face_set, &completed_ref);
+      const bool ref = reference.IsDiscValue(face_set, &completed_ref);
       const bool fast = engine.IsDiscValue(face_bits, &completed_bits);
       ASSERT_EQ(ref, fast) << "face set " << bits;
       if (ref) {
@@ -238,8 +252,9 @@ TEST(QueryDiffTest, DiscValueOverloadsAgreeOnAllFaceSubsets) {
 // faces chosen", true for a dart-less vertex) would poison every
 // completion with isolated cells. The arrangement never emits dart-less
 // vertices, so the guard itself is unreachable through Build; what is
-// testable, and what this test pins exhaustively, is the non-vacuous rule
-// against ground truth recomputed here straight from the complex's darts.
+// testable, and what this test pins exhaustively on the engine's check, is
+// the non-vacuous rule against ground truth recomputed here straight from
+// the complex's darts.
 TEST(QueryDiffTest, CompletedVerticesMatchIncidentFaceRule) {
   for (SpatialInstance instance :
        {Fig1aInstance(), NestedInstance(), *CombInstance(2)}) {
@@ -258,15 +273,17 @@ TEST(QueryDiffTest, CompletedVerticesMatchIncidentFaceRule) {
           << "the arrangement emitted a dart-less vertex";
     }
     for (uint32_t bits = 0; bits < (uint32_t{1} << nf); ++bits) {
-      std::vector<char> face_set(nf, 0);
-      for (int f = 0; f < nf; ++f) face_set[f] = (bits >> f) & 1;
-      std::vector<char> completed;
+      CellSet face_set(nf);
+      for (int f = 0; f < nf; ++f) {
+        if (bits >> f & 1) face_set.Set(f);
+      }
+      CellSet completed;
       if (!engine.IsDiscValue(face_set, &completed)) continue;
-      ASSERT_EQ(completed.size(), static_cast<size_t>(nv + ne + nf));
+      ASSERT_EQ(completed.size_bits(), nv + ne + nf);
       for (int v = 0; v < nv; ++v) {
         bool all_chosen = true;
-        for (int f : vertex_faces[v]) all_chosen &= face_set[f] != 0;
-        EXPECT_EQ(completed[v] != 0, all_chosen)
+        for (int f : vertex_faces[v]) all_chosen &= face_set.Test(f);
+        EXPECT_EQ(completed.Test(v), all_chosen)
             << "vertex " << v << ", face set " << bits;
       }
     }

@@ -275,28 +275,21 @@ TEST(QueryPlanTest, RandomizedCanonicalKeyIsStableThroughReparse) {
 
 // ---------------------------------------------------------------------
 // Planned-vs-unplanned differential (the PR 2 precedent): for queries
-// whose names resolve, planning must not change any verdict, under
-// either strategy and with the parallel fan-out.
+// whose names resolve, planning must not change any verdict, serially
+// or with the parallel fan-out.
 
 void ExpectPlannedMatchesUnplanned(const QueryEngine& engine,
                                    const std::string& query) {
-  for (EvalStrategy strategy :
-       {EvalStrategy::kBaseline, EvalStrategy::kBitset}) {
-    for (int threads : {1, 3}) {
-      EvalOptions unplanned;
-      unplanned.strategy = strategy;
-      unplanned.num_threads = threads;
-      EvalOptions planned = unplanned;
-      planned.plan = true;
-      Result<bool> a = engine.Evaluate(query, unplanned);
-      Result<bool> b = engine.Evaluate(query, planned);
-      ASSERT_TRUE(a.ok()) << query << ": " << a.status().ToString();
-      ASSERT_TRUE(b.ok()) << query << ": " << b.status().ToString();
-      EXPECT_EQ(*a, *b) << query << " strategy="
-                        << (strategy == EvalStrategy::kBitset ? "bitset"
-                                                              : "baseline")
-                        << " threads=" << threads;
-    }
+  for (int threads : {1, 3}) {
+    EvalOptions unplanned;
+    unplanned.num_threads = threads;
+    EvalOptions planned = unplanned;
+    planned.plan = true;
+    Result<bool> a = engine.Evaluate(query, unplanned);
+    Result<bool> b = engine.Evaluate(query, planned);
+    ASSERT_TRUE(a.ok()) << query << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << query << ": " << b.status().ToString();
+    EXPECT_EQ(*a, *b) << query << " threads=" << threads;
   }
 }
 
@@ -345,7 +338,6 @@ TEST(QueryPlanTest, RandomizedPlannedDifferential) {
     // generator's name pool is mostly junk, so route through validation
     // by asking the unplanned evaluator first.
     EvalOptions unplanned;
-    unplanned.strategy = EvalStrategy::kBitset;
     Result<bool> a = engine.Evaluate(f, unplanned);
     if (!a.ok()) continue;
     // Names may still be invalid if short-circuiting skipped them;

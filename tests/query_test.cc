@@ -403,45 +403,36 @@ TEST(QueryTest, DiscValueChecker) {
     if (label == "--") outer = static_cast<int>(f);
   }
   ASSERT_NE(annulus, -1);
-  std::vector<char> completed;
-  std::vector<char> pick(3, 0);
-  pick[annulus] = 1;
-  EXPECT_FALSE(engine->IsDiscValue(pick, &completed));  // Annulus: hole.
-  pick.assign(3, 0);
-  pick[inner] = 1;
-  EXPECT_TRUE(engine->IsDiscValue(pick, &completed));
-  pick.assign(3, 0);
-  pick[outer] = 1;
-  EXPECT_FALSE(engine->IsDiscValue(pick, &completed));  // Plane minus disc.
+  auto is_disc = [&](std::vector<int> faces) {
+    CellSet pick(3);
+    for (int f : faces) pick.Set(f);
+    CellSet completed;
+    return engine->IsDiscValue(pick, &completed);
+  };
+  EXPECT_FALSE(is_disc({annulus}));  // Annulus: hole.
+  EXPECT_TRUE(is_disc({inner}));
+  EXPECT_FALSE(is_disc({outer}));  // Plane minus disc.
   // Annulus + inner = open disc (B's closure absorbed).
-  pick.assign(3, 0);
-  pick[annulus] = 1;
-  pick[inner] = 1;
-  EXPECT_TRUE(engine->IsDiscValue(pick, &completed));
+  EXPECT_TRUE(is_disc({annulus, inner}));
   // Everything = the whole plane, a disc.
-  pick.assign(3, 1);
-  EXPECT_TRUE(engine->IsDiscValue(pick, &completed));
+  EXPECT_TRUE(is_disc({annulus, inner, outer}));
   // Empty set is not a region.
-  pick.assign(3, 0);
-  EXPECT_FALSE(engine->IsDiscValue(pick, &completed));
+  EXPECT_FALSE(is_disc({}));
 }
 
 // --- Deadlines, cancellation, and evaluation metrics ---
 
-TEST(QueryDeadlineTest, ExpiredDeadlineFailsBothStrategies) {
+TEST(QueryDeadlineTest, ExpiredDeadlineFailsEveryQueryShape) {
   QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  for (EvalStrategy strategy : {EvalStrategy::kBitset, EvalStrategy::kBaseline}) {
-    EvalOptions options;
-    options.strategy = strategy;
-    options.deadline = Deadline::Expired();
-    // The entry checkpoint fires before any work, for any query shape.
-    for (const char* query :
-         {"connect(A, B)", "forall region r . connect(r, r)"}) {
-      Result<bool> result = engine.Evaluate(query, options);
-      ASSERT_FALSE(result.ok()) << query;
-      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
-          << query;
-    }
+  EvalOptions options;
+  options.deadline = Deadline::Expired();
+  // The entry checkpoint fires before any work, for any query shape.
+  for (const char* query :
+       {"connect(A, B)", "forall region r . connect(r, r)"}) {
+    Result<bool> result = engine.Evaluate(query, options);
+    ASSERT_FALSE(result.ok()) << query;
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+        << query;
   }
 }
 

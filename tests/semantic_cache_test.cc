@@ -99,9 +99,6 @@ TEST(SemanticCacheTest, KeySeparatesEntryIdentityAndOptions) {
 
   // Verdict-relevant options fracture it too...
   EvalOptions other = base;
-  other.strategy = EvalStrategy::kBaseline;
-  EXPECT_NE(SemanticCacheKey(7, 1, canonical, other), key);
-  other = base;
   other.max_region_candidates = 1;
   EXPECT_NE(SemanticCacheKey(7, 1, canonical, other), key);
   other = base;
