@@ -1,7 +1,8 @@
 // The batched invariant pipeline (src/pipeline/): old-vs-new timings for
 // the arrangement broad phase (all-pairs baseline vs uniform grid), the
 // canonical-string cache on repeated equivalence queries, and the
-// thread-pooled batch API, all on the existing generator workloads.
+// thread-pooled batch API, all on the existing generator workloads; plus
+// the instance-text parse layer on its own (BM_ParseInstanceText).
 
 #include <chrono>
 #include <cstdio>
@@ -76,6 +77,16 @@ void ReportBroadPhase() {
   }
 }
 
+// The 2^64 affine map of the exactness ablation: stretched images carry
+// 64-bit non-integer rational coordinates through every layer.
+AffineTransform Stretch64() {
+  BigInt factor(1);
+  for (int i = 0; i < 64; ++i) factor = factor * BigInt(2);
+  return Unwrap(AffineTransform::Make(
+      Rational(factor, BigInt(3)), 0, Rational(BigInt(7), factor), 0,
+      Rational(factor, BigInt(5)), Rational(1, 3)));
+}
+
 // Filtered vs pure-rational predicates on the broad-phase workloads. The
 // acceptance bar for the three-stage filter (ISSUE 6): >= 3x faster
 // arrangement construction with identical output complexes.
@@ -103,13 +114,8 @@ void ReportPredicateFilter() {
     // variant forces non-integer rationals through the whole overlay.
     report.Row("random-rect(128) 40-bit",
                Unwrap(RandomRectInstance(128, int64_t{1} << 40, 42)));
-    BigInt factor(1);
-    for (int i = 0; i < 64; ++i) factor = factor * BigInt(2);
-    AffineTransform stretch = Unwrap(AffineTransform::Make(
-        Rational(factor, BigInt(3)), 0, Rational(BigInt(7), factor), 0,
-        Rational(factor, BigInt(5)), Rational(1, 3)));
     report.Row("stretch-64bit(rect 64)",
-               Unwrap(stretch.ApplyToInstance(
+               Unwrap(Stretch64().ApplyToInstance(
                    Unwrap(RandomRectInstance(64, 12 * 64, 42)))));
   }
   report.WriteJsonIfRequested();
@@ -268,6 +274,28 @@ void BM_ArrangementGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_ArrangementGrid)->RangeMultiplier(2)->Range(16, 128)
     ->Complexity();
+
+// The parse layer alone: ParseInstanceText (tokenize, coordinate literals,
+// simplicity check, region construction) over 32 distinct texts of 6-12
+// random rectangles, with integer coordinates or their 2^64-stretched
+// images.
+void BM_ParseInstanceText(benchmark::State& state, bool stretched) {
+  const AffineTransform stretch = Stretch64();
+  std::vector<std::string> texts;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SpatialInstance instance = Unwrap(
+        RandomRectInstance(6 + static_cast<int>(seed % 7), 64, seed));
+    if (stretched) instance = Unwrap(stretch.ApplyToInstance(instance));
+    texts.push_back(WriteInstanceText(instance));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Unwrap(ParseInstanceText(texts[next++ % texts.size()])));
+  }
+}
+BENCHMARK_CAPTURE(BM_ParseInstanceText, plain, false);
+BENCHMARK_CAPTURE(BM_ParseInstanceText, stretch-64bit, true);
 
 void BM_IsomorphicUncached(benchmark::State& state) {
   InvariantData data = Unwrap(ComputeInvariant(Unwrap(CombInstance(8))));

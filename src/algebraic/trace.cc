@@ -190,10 +190,7 @@ Result<Region> CircleRegion(const Point& center, const Rational& radius,
   for (int k = m - 1; k >= -m + 1; --k) {
     points.push_back(on_circle(Rational(k, m), true));
   }
-  Polygon boundary(std::move(points));
-  TOPODB_RETURN_NOT_OK(boundary.Validate());
-  boundary.Normalize();
-  return Region::Make(std::move(boundary), RegionClass::kAlg);
+  return Region::Make(Polygon(std::move(points)), RegionClass::kAlg);
 }
 
 }  // namespace topodb

@@ -593,13 +593,15 @@ class CellComplexBuilder {
     // Geometry of each cycle: the closed walk's points, and its area. In
     // filtered mode the area is accumulated in interval arithmetic; the
     // exact rational accumulation (with a gcd per step) only runs for
-    // cycles whose interval cannot certify the sign.
+    // cycles whose interval cannot certify the sign. Filtered mode also
+    // records each cycle's certified bounding box for AssignCyclesToFaces.
     cycle_walks_.resize(cycle_reps_.size());
     cycle_area_sign_.assign(cycle_reps_.size(), 0);
     cycle_area_iv_.assign(cycle_reps_.size(), IntervalDouble());
     cycle_area2_.assign(cycle_reps_.size(), std::nullopt);
     const bool filtered =
         CurrentPredicateMode() == PredicateMode::kFiltered;
+    if (filtered) cycle_box_.assign(cycle_reps_.size(), CycleBox());
     std::vector<IntervalDouble> ivx, ivy;
     for (size_t c = 0; c < cycle_reps_.size(); ++c) {
       std::vector<Point>& walk = cycle_walks_[c];
@@ -611,9 +613,14 @@ class CellComplexBuilder {
       if (filtered) {
         ivx.clear();
         ivy.clear();
+        CycleBox& box = cycle_box_[c];
         for (const Point& p : walk) {
           ivx.push_back(p.x.ToIntervalDoubleFast());
           ivy.push_back(p.y.ToIntervalDoubleFast());
+          box.xlo = std::min(box.xlo, ivx.back().lo());
+          box.xhi = std::max(box.xhi, ivx.back().hi());
+          box.ylo = std::min(box.ylo, ivy.back().lo());
+          box.yhi = std::max(box.yhi, ivy.back().hi());
         }
         IntervalDouble area;
         for (size_t i = 0; i < walk.size(); ++i) {
@@ -675,18 +682,36 @@ class CellComplexBuilder {
     unbounded.unbounded = true;
     complex_.faces_.push_back(std::move(unbounded));
 
+    const bool filtered =
+        CurrentPredicateMode() == PredicateMode::kFiltered;
     for (size_t c = 0; c < cycle_reps_.size(); ++c) {
       if (cycle_area_sign_[c] > 0) continue;
       const Point* leftmost = &cycle_walks_[c][0];
       for (const Point& p : cycle_walks_[c]) {
         if (p < *leftmost) leftmost = &p;
       }
+      IntervalDouble lx, ly;
+      if (filtered) {
+        lx = leftmost->x.ToIntervalDoubleFast();
+        ly = leftmost->y.ToIntervalDoubleFast();
+      }
       int best_face = complex_.exterior_face_;
       bool have_best = false;
       size_t best_cycle = 0;
       for (size_t oc : outer_cycles) {
-        Polygon poly(cycle_walks_[oc]);
-        if (poly.Locate(*leftmost) != PointLocation::kInterior) continue;
+        // A point whose enclosure misses the cycle's certified box lies
+        // outside the cycle: skip the exact location.
+        if (filtered) {
+          const CycleBox& box = cycle_box_[oc];
+          if (lx.hi() < box.xlo || lx.lo() > box.xhi || ly.hi() < box.ylo ||
+              ly.lo() > box.yhi) {
+            continue;
+          }
+        }
+        if (LocateInCycle(cycle_walks_[oc], *leftmost) !=
+            PointLocation::kInterior) {
+          continue;
+        }
         if (!have_best || CycleAreaLess(oc, best_cycle)) {
           have_best = true;
           best_cycle = oc;
@@ -890,6 +915,13 @@ class CellComplexBuilder {
   std::vector<int> cycle_area_sign_;
   std::vector<IntervalDouble> cycle_area_iv_;
   std::vector<std::optional<Rational>> cycle_area2_;
+  // Per-cycle box enclosing every walk point, from the same interval
+  // enclosures as the area; filled in filtered mode only, so an exact
+  // build takes no certified shortcut.
+  struct CycleBox {
+    double xlo = HUGE_VAL, xhi = -HUGE_VAL, ylo = HUGE_VAL, yhi = -HUGE_VAL;
+  };
+  std::vector<CycleBox> cycle_box_;
   std::vector<int> face_of_cycle_;
 };
 

@@ -18,8 +18,26 @@ Rational Polygon::SignedArea2() const {
   return area;
 }
 
+namespace {
+
+// Sign of the turn at the lexicographically smallest vertex (the first one,
+// should it repeat). That vertex lies on the convex hull, so on a simple
+// polygon the turn is nonzero — a straight corner there would put a
+// neighbour lexicographically lower — and it has the sign of the polygon's
+// area. One filtered Orientation replaces the rational shoelace sum.
+int TurnAtLowestVertex(const std::vector<Point>& v) {
+  const size_t n = v.size();
+  size_t low = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (v[i] < v[low]) low = i;
+  }
+  return Orientation(v[(low + n - 1) % n], v[low], v[(low + 1) % n]);
+}
+
+}  // namespace
+
 void Polygon::Normalize() {
-  if (SignedArea2().sign() < 0) {
+  if (vertices_.size() >= 3 && TurnAtLowestVertex(vertices_) < 0) {
     std::reverse(vertices_.begin(), vertices_.end());
   }
 }
@@ -42,30 +60,37 @@ Status Polygon::Validate() const {
     for (size_t j = i + 1; j < n; ++j) {
       const Point& c = vertices_[j];
       const Point& d = vertices_[(j + 1) % n];
+      const bool consecutive = (j == i + 1);
+      const bool wraparound = (i == 0 && j == n - 1);
+      // Adjacent edges always touch at their shared vertex, so the segment
+      // test could never reject them and would build that rational point.
+      // Unless the two edges are collinear, the shared vertex is all they
+      // have in common: one turn sign settles the pair.
+      if (consecutive && Orientation(a, b, d) != 0) continue;
+      if (wraparound && Orientation(c, a, b) != 0) continue;
       SegmentIntersection isect = IntersectSegments(a, b, c, d);
       if (isect.kind == SegmentIntersection::Kind::kNone) continue;
       if (isect.kind == SegmentIntersection::Kind::kOverlap) {
         return Status::InvalidArgument("polygon edges overlap");
       }
-      const bool consecutive = (j == i + 1);
-      const bool wraparound = (i == 0 && j == n - 1);
       if (consecutive && isect.p0 == b) continue;
       if (wraparound && isect.p0 == a) continue;
       return Status::InvalidArgument("polygon boundary self-intersects");
     }
   }
-  if (SignedArea2().is_zero()) {
+  if (TurnAtLowestVertex(vertices_) == 0) {
     return Status::InvalidArgument("polygon has zero area");
   }
   return Status::OK();
 }
 
-PointLocation Polygon::Locate(const Point& p) const {
-  const size_t n = vertices_.size();
+PointLocation LocateInCycle(std::span<const Point> vertices,
+                            const Point& p) {
+  const size_t n = vertices.size();
   TOPODB_CHECK(n >= 3);
   // Boundary first: exact.
   for (size_t i = 0; i < n; ++i) {
-    if (OnSegment(p, vertices_[i], vertices_[(i + 1) % n])) {
+    if (OnSegment(p, vertices[i], vertices[(i + 1) % n])) {
       return PointLocation::kBoundary;
     }
   }
@@ -76,23 +101,23 @@ PointLocation Polygon::Locate(const Point& p) const {
   // crosses to the left of p.
   int crossings = 0;
   for (size_t i = 0; i < n; ++i) {
-    const Point& a = vertices_[i];
-    const Point& b = vertices_[(i + 1) % n];
+    const Point& a = vertices[i];
+    const Point& b = vertices[(i + 1) % n];
     const bool a_above = a.y > p.y;
     const bool b_above = b.y > p.y;
     if (a_above == b_above) continue;  // Both on one side (or horizontal).
-    // x-coordinate where the edge crosses the line y == p.y:
-    //   x = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-    // We only need the comparison with p.x, done exactly.
-    const Rational dy = b.y - a.y;
-    const Rational lhs = (p.y - a.y) * (b.x - a.x) + a.x * dy;
-    // x_cross < p.x  <=>  lhs / dy < p.x  (careful with dy sign).
-    const Rational rhs = p.x * dy;
-    const bool crosses_left = dy.sign() > 0 ? lhs < rhs : lhs > rhs;
-    if (crosses_left) ++crossings;
+    // The edge crosses left of p iff p lies right of the edge directed
+    // upward. p is not on the edge (boundary handled above) and the edge
+    // spans p's height, so the turn is nonzero.
+    const int turn = Orientation(a, b, p);
+    if (b_above ? turn < 0 : turn > 0) ++crossings;
   }
   return (crossings % 2 == 1) ? PointLocation::kInterior
                               : PointLocation::kExterior;
+}
+
+PointLocation Polygon::Locate(const Point& p) const {
+  return LocateInCycle(vertices_, p);
 }
 
 Box Polygon::BoundingBox() const {

@@ -1,6 +1,7 @@
 #ifndef TOPODB_GEOM_POLYGON_H_
 #define TOPODB_GEOM_POLYGON_H_
 
+#include <span>
 #include <vector>
 
 #include "src/base/status.h"
@@ -30,21 +31,31 @@ class Polygon {
   size_t size() const { return vertices_.size(); }
   const Point& vertex(size_t i) const { return vertices_[i]; }
 
-  // Twice the signed area; positive iff counterclockwise.
+  // Twice the signed area (exact rational shoelace sum); positive iff
+  // counterclockwise. Validate, Normalize and Locate do not use it.
   Rational SignedArea2() const;
 
   bool IsCounterClockwise() const { return SignedArea2().sign() > 0; }
 
   // Reverses orientation if needed so the cycle is counterclockwise.
+  // Requires a simple polygon (one that passes Validate): the orientation
+  // is read from the turn at the lexicographically smallest vertex, which
+  // only a simple polygon guarantees to carry the sign of the area. On any
+  // other cycle the resulting order is unspecified.
   void Normalize();
 
   // Checks the polygon is simple: >= 3 vertices, no repeated vertices, no
   // zero-length or collinear-overlapping edges, and non-adjacent edges do
-  // not touch. Returns a descriptive error otherwise.
+  // not touch. Returns a descriptive InvalidArgument otherwise; the checks
+  // run in that order, pairs of edges in index order, and the first
+  // failure names the error. Every sign is decided by the filtered
+  // predicates (exact decisions, src/geom/predicates.h): adjacent edges
+  // by one Orientation, other pairs by IntersectSegments.
   Status Validate() const;
 
   // Exact point location by crossing number (handles vertices and
-  // horizontal edges exactly; no epsilons).
+  // horizontal edges exactly; no epsilons). Requires >= 3 vertices; a
+  // simple polygon gives the usual inside/outside meaning.
   PointLocation Locate(const Point& p) const;
 
   Box BoundingBox() const;
@@ -56,6 +67,11 @@ class Polygon {
  private:
   std::vector<Point> vertices_;
 };
+
+// Polygon::Locate on a bare vertex cycle (>= 3 vertices, no repeated
+// closing vertex), for callers that hold the cycle in another container.
+// Each crossing is decided by one filtered Orientation.
+PointLocation LocateInCycle(std::span<const Point> vertices, const Point& p);
 
 }  // namespace topodb
 

@@ -47,6 +47,17 @@ std::string Snippet(const std::string& s) {
 // fails fast instead of grinding through arbitrary-precision arithmetic.
 constexpr size_t kMaxCoordinateChars = 4096;
 
+// Longest literal whose lowest-terms form provably fits kMaxCoordinateChars,
+// so its canonical length need not be measured. For a literal of L chars:
+//   - "[-]n" and "[-]n/d" reduce to a numerator and a denominator no longer
+//     than the ones written: at most L chars.
+//   - "[s]i.f", with k = |f| >= 1 fractional digits, is (if)/10^k. The
+//     reduced numerator has at most |i| + k digits and the denominator at
+//     most k + 1, so the form "[-]num/den" has at most
+//     s + (|i| + k) + 1 + (k + 1) = L + k + 1 <= 2L chars, as k <= L - 1.
+// ".1...1" with k ones reaches 2L exactly ("1...1/10...0").
+constexpr size_t kCanonicalSafeLiteralChars = kMaxCoordinateChars / 2;
+
 // Splits text into lines at "\n", "\r\n", or bare "\r" (classic-Mac),
 // each terminator counting as exactly one line break — so the line
 // numbers in ParseError are accurate for every line-ending convention.
@@ -121,9 +132,15 @@ Result<SpatialInstance> ParseInstanceText(const std::string& text) {
       // with nearly twice the digits ("0.00...01" gains a power-of-ten
       // denominator). Without this check an accepted instance could
       // serialize to a literal this very parser rejects, breaking the
-      // Write-then-Parse round trip.
-      if (x.ToString().size() > kMaxCoordinateChars ||
-          y.ToString().size() > kMaxCoordinateChars) {
+      // Write-then-Parse round trip. Literals up to
+      // kCanonicalSafeLiteralChars cannot exceed the cap, so only longer
+      // ones pay for the conversion.
+      const auto too_long = [](const std::string& literal,
+                               const Rational& value) {
+        return literal.size() > kCanonicalSafeLiteralChars &&
+               value.ToString().size() > kMaxCoordinateChars;
+      };
+      if (too_long(xs, x) || too_long(ys, y)) {
         return LineError(line_no,
                          "coordinate value needs more than " +
                              std::to_string(kMaxCoordinateChars) +
@@ -133,13 +150,15 @@ Result<SpatialInstance> ParseInstanceText(const std::string& text) {
       vertices.push_back(Point(std::move(x), std::move(y)));
     }
     Polygon poly(std::move(vertices));
-    Status valid = poly.Validate();
-    if (!valid.ok()) {
-      return LineError(line_no, name + ": " + valid.message());
-    }
+    // Classify only looks at vertex count and axis-parallel edges, so it
+    // is safe before validation; Make validates once and, for a simple
+    // polygon, the declared class always holds.
     const RegionClass cls = Region::Classify(poly);
-    TOPODB_ASSIGN_OR_RETURN(Region region, Region::Make(std::move(poly), cls));
-    TOPODB_RETURN_NOT_OK(instance.AddRegion(name, std::move(region)));
+    Result<Region> region = Region::Make(std::move(poly), cls);
+    if (!region.ok()) {
+      return LineError(line_no, name + ": " + region.status().message());
+    }
+    TOPODB_RETURN_NOT_OK(instance.AddRegion(name, std::move(*region)));
   }
   return instance;
 }

@@ -74,7 +74,6 @@ Polygon Transform::ApplyToPolygon(const Polygon& poly) const {
 
 Result<Region> Transform::ApplyToRegion(const Region& region) const {
   Polygon image = ApplyToPolygon(region.boundary());
-  TOPODB_RETURN_NOT_OK(image.Validate());
   const RegionClass cls = Region::Classify(image);
   return Region::Make(std::move(image), cls);
 }

@@ -15,13 +15,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/base/bigint.h"
 #include "src/base/rational.h"
 #include "src/geom/point.h"
+#include "src/geom/polygon.h"
 #include "src/geom/predicates.h"
 
 namespace {
@@ -167,6 +171,53 @@ TEST(AllocGuardTest, ExactModeSmallPredicatesAreAllocationFree) {
     }
   });
   EXPECT_EQ(n, 0u) << "exact-mode small predicate path hit the allocator";
+}
+
+// Builds a polygon from integer vertices in place: copying Points through
+// an initializer_list would inline LimbVec::CopyFrom into this file, where
+// GCC misreads the counting operator new[]/delete[] pair.
+Polygon IntegerPolygon(std::initializer_list<std::pair<int, int>> xy) {
+  std::vector<Point> vertices;
+  vertices.reserve(xy.size());
+  for (const auto& [x, y] : xy) vertices.emplace_back(x, y);
+  return Polygon(std::move(vertices));
+}
+
+TEST(AllocGuardTest, SmallIntegerPolygonChecksAreAllocationFree) {
+  // Validate, Normalize and Locate decide with the filtered predicates
+  // alone, so on small-integer polygons none of them may touch the heap.
+  // Both shapes are given clockwise, so every Normalize call reverses.
+  const Polygon rect = IntegerPolygon({{0, 0}, {0, 3}, {4, 3}, {4, 0}});
+  const Polygon ell =
+      IntegerPolygon({{0, 0}, {0, 4}, {2, 4}, {2, 2}, {4, 2}, {4, 0}});
+  const Point probes[] = {Point(0, 0), Point(2, 0), Point(1, 1),
+                          Point(3, 3), Point(5, 1), Point(-1, 2)};
+  // AllocationsIn runs its callable twice; each run normalizes fresh
+  // clockwise polygons, built before counting starts.
+  std::vector<Polygon> fresh;
+  for (int k = 0; k < 2; ++k) {
+    fresh.push_back(IntegerPolygon({{0, 0}, {0, 3}, {4, 3}, {4, 0}}));
+    fresh.push_back(
+        IntegerPolygon({{0, 0}, {0, 4}, {2, 4}, {2, 2}, {4, 2}, {4, 0}}));
+  }
+  size_t next = 0;
+  volatile int sink = 0;
+  const uint64_t n = AllocationsIn([&] {
+    for (const Polygon* poly : {&rect, &ell}) {
+      sink = sink + (poly->Validate().ok() ? 1 : 0);
+      for (const Point& p : probes) {
+        sink = sink + static_cast<int>(poly->Locate(p));
+      }
+    }
+    for (int k = 0; k < 2; ++k) {
+      Polygon& poly = fresh[next++];
+      poly.Normalize();
+      sink = sink + poly.vertex(1).x.sign();
+    }
+  });
+  EXPECT_EQ(n, 0u) << "small-integer polygon checks hit the allocator";
+  // Really reversed: the L-shape now runs (4,0), (4,2), ...
+  EXPECT_TRUE(fresh[3].vertex(1) == Point(4, 2));
 }
 
 }  // namespace

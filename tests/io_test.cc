@@ -181,6 +181,34 @@ TEST(IoTest, CanonicalFormExceedingTheLimitIsRejected) {
       << instance.status().ToString();
 }
 
+TEST(IoTest, CanonicalLengthBoundaryOfShortLiterals) {
+  // Literals up to 2048 chars skip the canonical-length measurement: a
+  // literal of L chars reduces to at most 2L. ".1...1" meets that bound
+  // exactly, so at 2048 chars it reduces to precisely the 4096-char cap
+  // and must parse and round-trip; one digit more and it must be refused.
+  std::string at_bound(2048, '1');
+  at_bound[0] = '.';
+  const std::string text =
+      "A: (0 0, 1 0, 1 " + at_bound + ", 0 " + at_bound + ")\n";
+  const Result<SpatialInstance> instance = ParseInstanceText(text);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  const Rational& y = instance->regions().at("A").boundary().vertex(2).y;
+  EXPECT_EQ(y.ToString().size(), 4096u);
+  const std::string written = WriteInstanceText(*instance);
+  const Result<SpatialInstance> reparsed = ParseInstanceText(written);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(WriteInstanceText(*reparsed), written);
+
+  const std::string past_bound = at_bound + "1";
+  const Result<SpatialInstance> rejected = ParseInstanceText(
+      "A: (0 0, 1 0, 1 " + past_bound + ", 0 " + past_bound + ")\n");
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kParseError);
+  EXPECT_NE(rejected.status().message().find("canonical form"),
+            std::string::npos)
+      << rejected.status().ToString();
+}
+
 // Deterministic fuzz: random instances mixing integer, decimal, and
 // fraction literals (redundant forms included — "2/4", trailing zeros)
 // and names that stress the writer's formatting. The first Write output
