@@ -297,6 +297,29 @@ void BM_ParseInstanceText(benchmark::State& state, bool stretched) {
 BENCHMARK_CAPTURE(BM_ParseInstanceText, plain, false);
 BENCHMARK_CAPTURE(BM_ParseInstanceText, stretch-64bit, true);
 
+// The arrangement layer alone: CellComplex::Build over the instances the
+// texts above parse to (the invariant-cold text mix), so the plain row
+// runs the small-integer overlay kernel and the stretched row the
+// filtered rational path.
+void BM_CellComplexBuild(benchmark::State& state, bool stretched) {
+  const AffineTransform stretch = Stretch64();
+  std::vector<SpatialInstance> instances;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SpatialInstance instance = Unwrap(
+        RandomRectInstance(6 + static_cast<int>(seed % 7), 64, seed));
+    if (stretched) instance = Unwrap(stretch.ApplyToInstance(instance));
+    instances.push_back(
+        Unwrap(ParseInstanceText(WriteInstanceText(instance))));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Unwrap(CellComplex::Build(instances[next++ % instances.size()])));
+  }
+}
+BENCHMARK_CAPTURE(BM_CellComplexBuild, plain, false);
+BENCHMARK_CAPTURE(BM_CellComplexBuild, stretch-64bit, true);
+
 void BM_IsomorphicUncached(benchmark::State& state) {
   InvariantData data = Unwrap(ComputeInvariant(Unwrap(CombInstance(8))));
   for (auto _ : state) {

@@ -99,8 +99,8 @@ void ReportOldVsNew() {
     std::vector<double> us_reference, us_engine;
     for (int r = 0; r < reps; ++r) {
       {
-        QueryEngine engine = Unwrap(QueryEngine::Build(row.instance));
-        const QueryReference reference(engine.complex());
+        const CellComplex complex = Unwrap(CellComplex::Build(row.instance));
+        const QueryReference reference(complex);
         const auto t0 = std::chrono::steady_clock::now();
         verdict_reference = Unwrap(reference.Evaluate(query, options));
         const auto t1 = std::chrono::steady_clock::now();
@@ -199,8 +199,8 @@ void BM_Example42Reference(benchmark::State& state) {
   const SpatialInstance instance = Fig1dInstance();
   FormulaPtr query = Unwrap(ParseQuery(kExample42));
   for (auto _ : state) {
-    QueryEngine engine = Unwrap(QueryEngine::Build(instance));
-    const QueryReference reference(engine.complex());
+    const CellComplex complex = Unwrap(CellComplex::Build(instance));
+    const QueryReference reference(complex);
     benchmark::DoNotOptimize(Unwrap(reference.Evaluate(query)));
   }
 }
@@ -234,11 +234,12 @@ void BM_RegionSweepByStrategy(benchmark::State& state) {
   EvalOptions options;
   options.max_region_candidates = 2'000'000;
   for (auto _ : state) {
-    QueryEngine engine = Unwrap(QueryEngine::Build(instance));
     if (state.range(1) == 0) {
-      const QueryReference reference(engine.complex());
+      const CellComplex complex = Unwrap(CellComplex::Build(instance));
+      const QueryReference reference(complex);
       benchmark::DoNotOptimize(Unwrap(reference.Evaluate(query, options)));
     } else {
+      QueryEngine engine = Unwrap(QueryEngine::Build(instance));
       benchmark::DoNotOptimize(Unwrap(engine.Evaluate(query, options)));
     }
   }

@@ -21,10 +21,11 @@ namespace topodb {
 
 namespace {
 
-// An input boundary segment with its owning region.
+// An input boundary segment, as indices of its endpoints in the builder's
+// cut-point pool, with its owning region.
 struct RawSeg {
-  Point a;
-  Point b;
+  uint32_t a;
+  uint32_t b;
   int owner;
 };
 
@@ -36,66 +37,39 @@ struct SubSeg {
   std::vector<int> owners;
 };
 
-// Sort key for points along a fixed segment direction (avoids division).
-// CompareAlongDirection is the filtered sign of Dot(p - q, dir), so the
-// order matches the exact rational comparison without materializing the
-// rational differences.
-struct ParamLess {
-  Point dir;
-  bool operator()(const Point& p, const Point& q) const {
-    return CompareAlongDirection(p, q, dir) < 0;
-  }
-};
-
-// A point decorated with certified enclosures of both coordinates, so
-// lexicographic comparisons and equality tests decide on doubles whenever
-// the enclosures are disjoint and fall back to the exact rationals only
-// when they overlap. Used for the filtered piece dedup.
+// A cut point decorated with certified enclosures of both coordinates, so
+// lexicographic comparisons decide on doubles whenever the enclosures are
+// disjoint and fall back to the exact rationals only when they overlap.
+// Exact builds decorate with the whole real line, which sends every
+// comparison to the rationals.
 struct PieceEnd {
   double xlo, xhi, ylo, yhi;
   Point p;
 };
 
+PieceEnd Decorate(Point p, bool filtered) {
+  if (!filtered) {
+    return {-HUGE_VAL, HUGE_VAL, -HUGE_VAL, HUGE_VAL, std::move(p)};
+  }
+  const IntervalDouble ex = p.x.ToIntervalDoubleFast();
+  const IntervalDouble ey = p.y.ToIntervalDoubleFast();
+  return {ex.lo(), ex.hi(), ey.lo(), ey.hi(), std::move(p)};
+}
+
 // Lexicographic (x, y) three-way comparison; identical to the ordering of
-// Point::operator< because the interval decisions are certified.
+// Point::operator< because the interval decisions are certified. A point
+// enclosure (lo == hi) is the exact value, so two of them that overlap are
+// equal without consulting the rationals.
 int PieceEndCompare(const PieceEnd& a, const PieceEnd& b) {
   if (a.xhi < b.xlo) return -1;
   if (b.xhi < a.xlo) return 1;
-  if (int c = a.p.x.Compare(b.p.x); c != 0) return c;
+  if (a.xlo != a.xhi || b.xlo != b.xhi) {
+    if (int c = a.p.x.Compare(b.p.x); c != 0) return c;
+  }
   if (a.yhi < b.ylo) return -1;
   if (b.yhi < a.ylo) return 1;
+  if (a.ylo == a.yhi && b.ylo == b.yhi) return 0;
   return a.p.y.Compare(b.p.y);
-}
-
-bool PieceEndsEqual(const PieceEnd& a, const PieceEnd& b) {
-  if (a.xhi < b.xlo || b.xhi < a.xlo || a.yhi < b.ylo || b.yhi < a.ylo) {
-    return false;
-  }
-  return a.p == b.p;
-}
-
-// A cut point decorated with a certified enclosure of its position along
-// the segment direction (see the sort in SplitAtIntersections) plus the
-// coordinate enclosures of the point itself.
-struct KeyedPoint {
-  double klo;
-  double khi;
-  PieceEnd e;
-};
-
-// One deduplicated-piece candidate: both decorated endpoints in (lo, hi)
-// order plus the owning region. Sorting these with DecoratedPieceLess
-// reproduces the iteration order of a std::map keyed by the exact
-// (lo, hi) point pair.
-struct DecoratedPiece {
-  PieceEnd lo;
-  PieceEnd hi;
-  int owner;
-};
-
-bool DecoratedPieceLess(const DecoratedPiece& a, const DecoratedPiece& b) {
-  if (int c = PieceEndCompare(a.lo, b.lo); c != 0) return c < 0;
-  return PieceEndCompare(a.hi, b.hi) < 0;
 }
 
 // Conservative double bounds of a rational: the grid broad phase only needs
@@ -170,58 +144,60 @@ class CellComplexBuilder {
   }
 
  private:
-  int NodeId(const Point& p) {
-    auto [it, inserted] = node_ids_.try_emplace(p, -1);
-    if (inserted) {
-      it->second = static_cast<int>(node_points_.size());
-      node_points_.push_back(p);
-    }
-    return it->second;
-  }
-
   void CollectSegments() {
+    const bool filtered =
+        CurrentPredicateMode() == PredicateMode::kFiltered;
     int region_idx = 0;
     for (const auto& [name, region] : instance_.regions()) {
       const Polygon& poly = region.boundary();
-      const size_t n = poly.size();
-      for (size_t i = 0; i < n; ++i) {
-        raw_.push_back({poly.vertex(i), poly.vertex((i + 1) % n),
-                        region_idx});
+      const uint32_t first = static_cast<uint32_t>(pool_.size());
+      const uint32_t n = static_cast<uint32_t>(poly.size());
+      for (uint32_t i = 0; i < n; ++i) {
+        pool_.push_back(Decorate(poly.vertex(i), filtered));
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        raw_.push_back({first + i, first + (i + 1) % n, region_idx});
       }
       ++region_idx;
     }
   }
 
+  const Point& SegA(size_t i) const { return pool_[raw_[i].a].p; }
+  const Point& SegB(size_t i) const { return pool_[raw_[i].b].p; }
+
+  // Splits every segment at its cut points. Each cut point — a polygon
+  // vertex or an intersection point — is stored once in pool_ and referred
+  // to by index. One lexicographic sort of the pool ranks the points, with
+  // equal points sharing a rank. Every cut point lies exactly on its
+  // segment, so lexicographic order along a segment is the order along it
+  // (or its reverse), and consecutive ranks on a segment bound a piece.
   void SplitAtIntersections() {
     const size_t n = raw_.size();
-    std::vector<std::vector<Point>> cuts(n);
+    const bool filtered =
+        CurrentPredicateMode() == PredicateMode::kFiltered;
+    // (segment, pool index) of every cut point, endpoints first.
+    std::vector<std::pair<uint32_t, uint32_t>> cuts;
+    cuts.reserve(2 * n);
     for (size_t i = 0; i < n; ++i) {
-      cuts[i].push_back(raw_[i].a);
-      cuts[i].push_back(raw_[i].b);
+      cuts.emplace_back(static_cast<uint32_t>(i), raw_[i].a);
+      cuts.emplace_back(static_cast<uint32_t>(i), raw_[i].b);
     }
-    // Narrow phase shared by both broad phases: exact intersection, cut
-    // points recorded on both segments.
+    // Narrow phase shared by both broad phases: exact intersection, each
+    // new cut point pooled once and recorded on both segments.
     auto cut_pair = [&](size_t i, size_t j) {
       ++candidate_pairs_;
       SegmentIntersection isect =
-          IntersectSegments(raw_[i].a, raw_[i].b, raw_[j].a, raw_[j].b);
-      if (isect.kind != SegmentIntersection::Kind::kNone) {
-        ++exact_intersections_;
-      }
-      switch (isect.kind) {
-        case SegmentIntersection::Kind::kNone:
-          break;
-        case SegmentIntersection::Kind::kPoint:
-          cuts[i].push_back(isect.p0);
-          cuts[j].push_back(isect.p0);
-          break;
-        case SegmentIntersection::Kind::kOverlap:
-          cuts[i].push_back(isect.p0);
-          cuts[i].push_back(isect.p1);
-          cuts[j].push_back(isect.p0);
-          cuts[j].push_back(isect.p1);
-          break;
-      }
+          IntersectSegments(SegA(i), SegB(i), SegA(j), SegB(j));
+      if (isect.kind == SegmentIntersection::Kind::kNone) return;
+      ++exact_intersections_;
+      auto add = [&](Point& p) {
+        const uint32_t idx = static_cast<uint32_t>(pool_.size());
+        pool_.push_back(Decorate(std::move(p), filtered));
+        cuts.emplace_back(static_cast<uint32_t>(i), idx);
+        cuts.emplace_back(static_cast<uint32_t>(j), idx);
+      };
+      add(isect.p0);
+      if (isect.kind == SegmentIntersection::Kind::kOverlap) add(isect.p1);
     };
     if (options_.broad_phase == BroadPhase::kAllPairs ||
         !GridCutPairs(cut_pair)) {
@@ -230,110 +206,61 @@ class CellComplexBuilder {
         for (size_t j = i + 1; j < n; ++j) cut_pair(i, j);
       }
     }
-    // Split each raw segment at its cut points and deduplicate pieces. The
-    // exact path keys pieces by an ordered std::map over the rational point
-    // pairs; the filtered path sorts pieces decorated with certified double
-    // enclosures instead. Both enumerate the deduplicated pieces in the same
-    // lexicographic (lo, hi) order, so node ids and subsegment numbering are
-    // identical.
-    std::map<std::pair<Point, Point>, std::set<int>> pieces;
-    std::vector<DecoratedPiece> dpieces;
-    const bool filtered =
-        CurrentPredicateMode() == PredicateMode::kFiltered;
-    std::vector<KeyedPoint> keyed;
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<Point>& pts = cuts[i];
-      const Point dir = raw_[i].b - raw_[i].a;
-      if (filtered) {
-        // Decorate-sort: cache a certified enclosure of Dot(p, dir) per cut
-        // point so the O(k log k) comparisons run on doubles; only pairs
-        // with overlapping enclosures re-enter the exact comparison. The
-        // order is the exact one either way.
-        const IntervalDouble dx = dir.x.ToIntervalDoubleFast();
-        const IntervalDouble dy = dir.y.ToIntervalDoubleFast();
-        keyed.clear();
-        keyed.reserve(pts.size());
-        for (Point& p : pts) {
-          const IntervalDouble ex = p.x.ToIntervalDoubleFast();
-          const IntervalDouble ey = p.y.ToIntervalDoubleFast();
-          const IntervalDouble k = ex * dx + ey * dy;
-          keyed.push_back({k.lo(), k.hi(),
-                           {ex.lo(), ex.hi(), ey.lo(), ey.hi(),
-                            std::move(p)}});
-        }
-        std::sort(keyed.begin(), keyed.end(),
-                  [&dir](const KeyedPoint& a, const KeyedPoint& b) {
-                    if (a.khi < b.klo) return true;
-                    if (b.khi < a.klo) return false;
-                    return CompareAlongDirection(a.e.p, b.e.p, dir) < 0;
-                  });
-        // Dedup in place (duplicates are adjacent after the sort), then emit
-        // one decorated piece per consecutive pair of cut points.
-        size_t m = 0;
-        for (size_t k = 1; k < keyed.size(); ++k) {
-          if (PieceEndsEqual(keyed[m].e, keyed[k].e)) continue;
-          keyed[++m] = std::move(keyed[k]);
-        }
-        keyed.resize(m + 1);
-        for (size_t k = 0; k + 1 < keyed.size(); ++k) {
-          const PieceEnd& a = keyed[k].e;
-          const PieceEnd& b = keyed[k + 1].e;
-          const bool a_first = PieceEndCompare(a, b) < 0;
-          dpieces.push_back({a_first ? a : b, a_first ? b : a,
-                             raw_[i].owner});
-        }
-        continue;
+    // Rank the pool: rep[r] is the first pool index of rank r.
+    std::vector<uint32_t> order(pool_.size());
+    for (uint32_t k = 0; k < order.size(); ++k) order[k] = k;
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return PieceEndCompare(pool_[a], pool_[b]) < 0;
+    });
+    std::vector<uint32_t> rank(pool_.size());
+    std::vector<uint32_t> rep;
+    for (size_t k = 0; k < order.size(); ++k) {
+      if (k == 0 ||
+          PieceEndCompare(pool_[order[k - 1]], pool_[order[k]]) != 0) {
+        rep.push_back(order[k]);
       }
-      ParamLess less{dir};
-      std::sort(pts.begin(), pts.end(), less);
-      pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-      for (size_t k = 0; k + 1 < pts.size(); ++k) {
-        Point lo = pts[k];
-        Point hi = pts[k + 1];
-        if (hi < lo) std::swap(lo, hi);
-        pieces[{lo, hi}].insert(raw_[i].owner);
-      }
+      rank[order[k]] = static_cast<uint32_t>(rep.size() - 1);
     }
-    if (filtered) {
-      // Sort indices rather than the pieces themselves: each DecoratedPiece
-      // carries two rational points, so moving them around during the sort
-      // would dwarf the comparison cost.
-      std::vector<uint32_t> order(dpieces.size());
-      for (uint32_t k = 0; k < order.size(); ++k) order[k] = k;
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        return DecoratedPieceLess(dpieces[a], dpieces[b]);
-      });
-      std::vector<int> owners;
-      for (size_t s = 0; s < order.size();) {
-        // A run of equal pieces: the order is sorted, so two consecutive
-        // entries are equal exactly when neither is strictly less.
-        size_t e = s + 1;
-        while (e < order.size() &&
-               !DecoratedPieceLess(dpieces[order[s]], dpieces[order[e]])) {
-          ++e;
-        }
-        owners.clear();
-        for (size_t t = s; t < e; ++t) {
-          owners.push_back(dpieces[order[t]].owner);
-        }
-        std::sort(owners.begin(), owners.end());
-        owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-        SubSeg sub;
-        sub.u = NodeId(dpieces[order[s]].lo.p);
-        sub.v = NodeId(dpieces[order[s]].hi.p);
-        sub.owners.assign(owners.begin(), owners.end());
-        subsegs_.push_back(std::move(sub));
-        s = e;
-      }
-    } else {
-      for (auto& [key, owners] : pieces) {
-        SubSeg sub;
-        sub.u = NodeId(key.first);
-        sub.v = NodeId(key.second);
-        sub.owners.assign(owners.begin(), owners.end());
-        subsegs_.push_back(std::move(sub));
-      }
+    // Cut points of each segment in lexicographic order, deduplicated;
+    // consecutive ones bound a piece, keyed by its (lo, hi) ranks.
+    std::vector<uint64_t> keyed(cuts.size());
+    for (size_t k = 0; k < cuts.size(); ++k) {
+      keyed[k] = uint64_t{cuts[k].first} << 32 | rank[cuts[k].second];
     }
+    std::sort(keyed.begin(), keyed.end());
+    keyed.erase(std::unique(keyed.begin(), keyed.end()), keyed.end());
+    std::vector<std::pair<uint64_t, int>> pieces;
+    for (size_t k = 0; k + 1 < keyed.size(); ++k) {
+      const uint64_t seg = keyed[k] >> 32;
+      if (keyed[k + 1] >> 32 != seg) continue;
+      pieces.emplace_back((keyed[k] << 32) | (keyed[k + 1] & 0xffffffffu),
+                          raw_[seg].owner);
+    }
+    // Deduplicate pieces in lexicographic (lo, hi) order, which fixes the
+    // node and subsegment numbering; a node id goes to each point on its
+    // first appearance.
+    std::sort(pieces.begin(), pieces.end());
+    std::vector<int> node_of_rank(rep.size(), -1);
+    auto node_id = [&](uint32_t r) {
+      if (node_of_rank[r] < 0) {
+        node_of_rank[r] = static_cast<int>(node_points_.size());
+        node_points_.push_back(std::move(pool_[rep[r]].p));
+      }
+      return node_of_rank[r];
+    };
+    for (size_t s = 0; s < pieces.size();) {
+      const uint64_t key = pieces[s].first;
+      SubSeg sub;
+      sub.u = node_id(static_cast<uint32_t>(key >> 32));
+      sub.v = node_id(static_cast<uint32_t>(key & 0xffffffffu));
+      for (; s < pieces.size() && pieces[s].first == key; ++s) {
+        if (sub.owners.empty() || sub.owners.back() != pieces[s].second) {
+          sub.owners.push_back(pieces[s].second);
+        }
+      }
+      subsegs_.push_back(std::move(sub));
+    }
+    pool_.clear();
     incident_.assign(node_points_.size(), {});
     for (size_t s = 0; s < subsegs_.size(); ++s) {
       incident_[subsegs_[s].u].push_back(static_cast<int>(s));
@@ -357,10 +284,10 @@ class CellComplexBuilder {
     double sum_w = 0, sum_h = 0;
     for (size_t i = 0; i < n; ++i) {
       GridEntry& e = entries[i];
-      e.lox = std::min(PadDown(raw_[i].a.x), PadDown(raw_[i].b.x));
-      e.hix = std::max(PadUp(raw_[i].a.x), PadUp(raw_[i].b.x));
-      e.loy = std::min(PadDown(raw_[i].a.y), PadDown(raw_[i].b.y));
-      e.hiy = std::max(PadUp(raw_[i].a.y), PadUp(raw_[i].b.y));
+      e.lox = std::min(PadDown(SegA(i).x), PadDown(SegB(i).x));
+      e.hix = std::max(PadUp(SegA(i).x), PadUp(SegB(i).x));
+      e.loy = std::min(PadDown(SegA(i).y), PadDown(SegB(i).y));
+      e.hiy = std::max(PadUp(SegA(i).y), PadUp(SegB(i).y));
       if (!std::isfinite(e.lox) || !std::isfinite(e.hix) ||
           !std::isfinite(e.loy) || !std::isfinite(e.hiy)) {
         return false;
@@ -527,6 +454,7 @@ class CellComplexBuilder {
           cur_node = next;
         }
         complex_.edges_.push_back(std::move(edge));
+        edge_nodes_.emplace_back(static_cast<int>(v), cur_node);
       }
     }
     // Every subsegment must belong to some chain: anchors guarantee each
@@ -549,11 +477,11 @@ class CellComplexBuilder {
       int d1 = d0 + 1;
       darts[d0].edge = static_cast<int>(e);
       darts[d0].twin = d1;
-      darts[d0].origin = VertexAt(chain.front());
+      darts[d0].origin = vertex_of_node_[edge_nodes_[e].first];
       direction[d0] = chain[1] - chain[0];
       darts[d1].edge = static_cast<int>(e);
       darts[d1].twin = d0;
-      darts[d1].origin = VertexAt(chain.back());
+      darts[d1].origin = vertex_of_node_[edge_nodes_[e].second];
       direction[d1] = chain[chain.size() - 2] - chain.back();
       complex_.vertices_[darts[d0].origin].darts.push_back(d0);
       complex_.vertices_[darts[d1].origin].darts.push_back(d1);
@@ -810,14 +738,6 @@ class CellComplexBuilder {
     }
   }
 
-  int VertexAt(const Point& p) const {
-    auto it = node_ids_.find(p);
-    TOPODB_CHECK(it != node_ids_.end());
-    int vertex = vertex_of_node_[it->second];
-    TOPODB_CHECK(vertex >= 0);
-    return vertex;
-  }
-
   // Appends the dart's chain geometry in walk order, excluding the final
   // point (it is the first point of the next dart in the face walk).
   void AppendDartChain(int d, std::vector<Point>* out) const {
@@ -895,15 +815,16 @@ class CellComplexBuilder {
   bool grid_fallback_ = false;
   PredicateFilterStats pred_start_;
 
+  // Every cut point of the build (polygon vertices, then intersection
+  // points as the narrow phase finds them); emptied once split.
+  std::vector<PieceEnd> pool_;
   std::vector<RawSeg> raw_;
-  // Node ids are assigned by insertion order, so the (unordered) lookup
-  // structure has no influence on the complex's numbering.
-  std::unordered_map<Point, int, PointHash> node_ids_;
   std::vector<Point> node_points_;
   std::vector<SubSeg> subsegs_;
   std::vector<std::vector<int>> incident_;
   std::vector<bool> essential_;
   std::vector<int> vertex_of_node_;
+  std::vector<std::pair<int, int>> edge_nodes_;  // First and last chain node.
 
   std::vector<int> cycle_of_dart_;
   std::vector<int> cycle_reps_;

@@ -130,6 +130,12 @@ BigInt::BigInt(int64_t value) {
   SetMag64(mag, value > 0 ? 1 : -1);
 }
 
+BigInt BigInt::FromInt128(i128 value) {
+  BigInt result;
+  result.SetI128(value);
+  return result;
+}
+
 BigInt::BigInt(std::string_view decimal) {
   TOPODB_CHECK_MSG(FromString(decimal, this), "malformed BigInt literal");
 }

@@ -39,6 +39,8 @@ class BigInt {
 
   // Returns false on malformed input.
   static bool FromString(std::string_view decimal, BigInt* out);
+  // Exact conversion from a 128-bit value (up to four inline limbs).
+  static BigInt FromInt128(__int128 value);
 
   bool is_zero() const { return sign_ == 0; }
   bool is_negative() const { return sign_ < 0; }

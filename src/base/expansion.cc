@@ -317,20 +317,6 @@ bool ExpansionDotSign(const Rational& ux, const Rational& uy,
   return true;
 }
 
-bool ExpansionAlongSign(const Rational& px, const Rational& py,
-                        const Rational& qx, const Rational& qy,
-                        const Rational& dx, const Rational& dy, int* sign) {
-  const Rational* rs[6] = {&px, &py, &qx, &qy, &dx, &dy};
-  int lens[6];
-  double comps[6][kCoordCap];
-  if (!DecomposeAll(rs, 6, lens, comps)) return false;
-  double wx[kDiffCap], wy[kDiffCap];
-  const int wxl = DiffExpansion(lens[0], comps[0], lens[2], comps[2], wx);
-  const int wyl = DiffExpansion(lens[1], comps[1], lens[3], comps[3], wy);
-  *sign = ProductSumSign(wxl, wx, lens[4], comps[4], wyl, wy, lens[5], comps[5]);
-  return true;
-}
-
 bool ExpansionCompareSign(const Rational& a, const Rational& b, int* sign) {
   const Rational* rs[2] = {&a, &b};
   int lens[2];

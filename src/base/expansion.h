@@ -43,11 +43,6 @@ bool ExpansionCrossSign(const Rational& ux, const Rational& uy,
 bool ExpansionDotSign(const Rational& ux, const Rational& uy,
                       const Rational& vx, const Rational& vy, int* sign);
 
-// sign of (px-qx)*dx + (py-qy)*dy.
-bool ExpansionAlongSign(const Rational& px, const Rational& py,
-                        const Rational& qx, const Rational& qy,
-                        const Rational& dx, const Rational& dy, int* sign);
-
 // sign of a - b.
 bool ExpansionCompareSign(const Rational& a, const Rational& b, int* sign);
 

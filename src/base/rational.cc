@@ -25,6 +25,15 @@ Rational::Rational(BigInt numerator, BigInt denominator)
   Reduce();
 }
 
+Rational Rational::FromReduced(BigInt numerator, BigInt denominator) {
+  TOPODB_CHECK_MSG(denominator.is_positive(),
+                   "Rational::FromReduced needs a positive denominator");
+  Rational result;
+  result.num_ = std::move(numerator);
+  result.den_ = std::move(denominator);
+  return result;
+}
+
 void Rational::Reduce() {
   if (den_.is_negative()) {
     num_ = -num_;

@@ -23,6 +23,11 @@ class Rational {
   Rational(int64_t numerator, int64_t denominator)
       : Rational(BigInt(numerator), BigInt(denominator)) {}
 
+  // Adopts a fraction its caller has already reduced: denominator > 0 and
+  // gcd(|numerator|, denominator) == 1. Skips the gcd of the constructor
+  // above; a non-canonical input breaks equality and hashing.
+  static Rational FromReduced(BigInt numerator, BigInt denominator);
+
   // Parses a rational literal. The three surface forms share one grammar:
   //
   //   rational := sign? (digits | digits '/' digits | digits? '.' digits)

@@ -1,6 +1,7 @@
 #include "src/geom/predicates.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/base/check.h"
@@ -176,18 +177,6 @@ bool StaticDotSign(const Point& u, const Point& v, int* sign) {
   return FSign(FAdd(FMul(ux, vx), FMul(uy, vy)), sign);
 }
 
-// Sign of (p.x-q.x)*d.x + (p.y-q.y)*d.y.
-bool StaticAlongSign(const Point& p, const Point& q, const Point& d,
-                     int* sign) {
-  FErr px, py, qx, qy, dx, dy;
-  if (!StaticApprox(p.x, &px) || !StaticApprox(p.y, &py) ||
-      !StaticApprox(q.x, &qx) || !StaticApprox(q.y, &qy) ||
-      !StaticApprox(d.x, &dx) || !StaticApprox(d.y, &dy)) {
-    return false;
-  }
-  return FSign(FAdd(FMul(FSub(px, qx), dx), FMul(FSub(py, qy), dy)), sign);
-}
-
 // Sign of a - b for scalar coordinates.
 bool StaticCompare(const Rational& a, const Rational& b, int* sign) {
   FErr fa, fb;
@@ -219,16 +208,6 @@ bool IntervalCrossSign(const Point& u, const Point& v, int* sign) {
 bool IntervalDotSign(const Point& u, const Point& v, int* sign) {
   const IntervalDouble dot = u.x.ToIntervalDouble() * v.x.ToIntervalDouble() +
                              u.y.ToIntervalDouble() * v.y.ToIntervalDouble();
-  return dot.CertifiedSign(sign);
-}
-
-bool IntervalAlongSign(const Point& p, const Point& q, const Point& d,
-                       int* sign) {
-  const IntervalDouble dot =
-      (p.x.ToIntervalDouble() - q.x.ToIntervalDouble()) *
-          d.x.ToIntervalDouble() +
-      (p.y.ToIntervalDouble() - q.y.ToIntervalDouble()) *
-          d.y.ToIntervalDouble();
   return dot.CertifiedSign(sign);
 }
 
@@ -289,6 +268,152 @@ bool BoundingBoxContains(const Point& p, const Point& a, const Point& b) {
 }
 
 int HalfPlaneRank(const Point& u);
+
+// ---------------------------------------------------------------------------
+// Small-integer segment intersection.
+//
+// When all eight coordinates are integers with |v| < 2^31, the whole of
+// IntersectSegmentsExact fits in 128-bit integers:
+//   - coordinate differences satisfy |d| <= 2^32 - 2 < 2^32;
+//   - every cross or dot product of two differences (denom, the parameter
+//     numerators t_num and u_num, the collinear projections) is a
+//     difference or sum of two products below 2^64, so below 2^65;
+//   - the constructed point's numerator a.x * denom + r.x * t_num is below
+//     2^31 * 2^65 + 2^32 * 2^65 < 2^98.
+// Nothing comes near 2^127, so every value below is the exact integer the
+// rational evaluation computes, and the stage decides every pair it takes
+// — crossings, touches, collinear overlaps and disjoint pairs alike.
+// ---------------------------------------------------------------------------
+
+using i128 = __int128;
+using u128 = unsigned __int128;
+
+// The value of r when it is an integer with |r| < 2^31.
+bool SmallInt(const Rational& r, int64_t* out) {
+  const BigInt& den = r.den();  // Positive and reduced: 1 iff one limb 1.
+  if (den.LimbCount() != 1 || den.Limb(0) != 1) return false;
+  const BigInt& num = r.num();
+  if (num.LimbCount() == 0) {
+    *out = 0;
+    return true;
+  }
+  if (num.LimbCount() != 1 || num.Limb(0) >= (uint32_t{1} << 31)) {
+    return false;
+  }
+  *out = num.is_negative() ? -int64_t{num.Limb(0)} : int64_t{num.Limb(0)};
+  return true;
+}
+
+struct SmallPoint {
+  int64_t x;
+  int64_t y;
+};
+
+bool SmallPointOf(const Point& p, SmallPoint* out) {
+  return SmallInt(p.x, &out->x) && SmallInt(p.y, &out->y);
+}
+
+int Ctz128(u128 v) {
+  const uint64_t lo = static_cast<uint64_t>(v);
+  return lo != 0 ? std::countr_zero(lo)
+                 : 64 + std::countr_zero(static_cast<uint64_t>(v >> 64));
+}
+
+// Binary gcd; both arguments nonzero.
+u128 Gcd128(u128 a, u128 b) {
+  const int shift = Ctz128(a | b);
+  a >>= Ctz128(a);
+  while (b != 0) {
+    b >>= Ctz128(b);
+    if (a > b) std::swap(a, b);
+    b -= a;
+  }
+  return a << shift;
+}
+
+// num / den (den > 0) as a canonical Rational, reduced by one gcd.
+Rational ReducedFraction(i128 num, i128 den) {
+  if (num == 0) return Rational();
+  const u128 mag = num < 0 ? -static_cast<u128>(num) : static_cast<u128>(num);
+  const u128 g = Gcd128(mag, static_cast<u128>(den));
+  return Rational::FromReduced(BigInt::FromInt128(num / static_cast<i128>(g)),
+                               BigInt::FromInt128(den / static_cast<i128>(g)));
+}
+
+i128 Cross128(int64_t ux, int64_t uy, int64_t vx, int64_t vy) {
+  return i128{ux} * vy - i128{uy} * vx;
+}
+
+// IntersectSegmentsExact on small integers. Returns false, deciding
+// nothing, when some coordinate is outside the stage's range.
+bool IntersectSegmentsSmall(const Point& a, const Point& b, const Point& c,
+                            const Point& d, SegmentIntersection* out) {
+  SmallPoint ia, ib, ic, id;
+  if (!SmallPointOf(a, &ia) || !SmallPointOf(b, &ib) ||
+      !SmallPointOf(c, &ic) || !SmallPointOf(d, &id)) {
+    return false;
+  }
+  const int64_t rx = ib.x - ia.x, ry = ib.y - ia.y;
+  const int64_t sx = id.x - ic.x, sy = id.y - ic.y;
+  const int64_t qx = ic.x - ia.x, qy = ic.y - ia.y;
+  const i128 denom = Cross128(rx, ry, sx, sy);
+  const i128 u_num = Cross128(qx, qy, rx, ry);
+  *out = SegmentIntersection{};
+  if (denom == 0) {
+    if (u_num != 0) return true;  // Parallel, non-collinear.
+    if (rx == 0 && ry == 0) {
+      // [a,b] is the single point a: on [c,d] iff collinear with it and
+      // inside its bounding box.
+      const bool on = Cross128(sx, sy, -qx, -qy) == 0 &&
+                      std::min(ic.x, id.x) <= ia.x &&
+                      ia.x <= std::max(ic.x, id.x) &&
+                      std::min(ic.y, id.y) <= ia.y &&
+                      ia.y <= std::max(ic.y, id.y);
+      if (on) {
+        out->kind = SegmentIntersection::Kind::kPoint;
+        out->p0 = a;
+      }
+      return true;
+    }
+    // Collinear: project on r, where [a,b] spans [0, |r|^2].
+    const i128 t1 = i128{rx} * rx + i128{ry} * ry;
+    i128 u0 = i128{qx} * rx + i128{qy} * ry;
+    i128 u1 = i128{id.x - ia.x} * rx + i128{id.y - ia.y} * ry;
+    const Point* pc = &c;
+    const Point* pd = &d;
+    if (u1 < u0) {
+      std::swap(u0, u1);
+      std::swap(pc, pd);
+    }
+    const i128 lo = std::max(i128{0}, u0);
+    const i128 hi = std::min(t1, u1);
+    if (lo > hi) return true;
+    const Point& plo = u0 <= 0 ? a : *pc;
+    out->p0 = plo;
+    if (lo == hi) {
+      out->kind = SegmentIntersection::Kind::kPoint;
+    } else {
+      out->kind = SegmentIntersection::Kind::kOverlap;
+      out->p1 = t1 <= u1 ? b : *pd;
+    }
+    return true;
+  }
+  // Non-parallel: range-test t = t_num / denom and u = u_num / denom on
+  // the undivided numerators, as IntersectSegmentsExact does.
+  const i128 t_num = Cross128(qx, qy, sx, sy);
+  const bool pos = denom > 0;
+  const auto in_unit_range = [&](i128 n) {
+    return n == 0 || (pos ? n > 0 && n <= denom : n < 0 && n >= denom);
+  };
+  if (!in_unit_range(t_num) || !in_unit_range(u_num)) return true;
+  // a + r * t_num / denom with a positive denominator.
+  const i128 den = pos ? denom : -denom;
+  const i128 tn = pos ? t_num : -t_num;
+  out->kind = SegmentIntersection::Kind::kPoint;
+  out->p0 = Point(ReducedFraction(i128{ia.x} * den + i128{rx} * tn, den),
+                  ReducedFraction(i128{ia.y} * den + i128{ry} * tn, den));
+  return true;
+}
 
 }  // namespace
 
@@ -430,6 +555,13 @@ SegmentIntersection IntersectSegments(const Point& a, const Point& b,
   if (tls_mode == PredicateMode::kExact) {
     return IntersectSegmentsExact(a, b, c, d);
   }
+  // Small-integer inputs are decided outright in 128-bit integers, one
+  // static hit for the whole pair.
+  SegmentIntersection small;
+  if (IntersectSegmentsSmall(a, b, c, d, &small)) {
+    ++tls_stats.static_hits;
+    return small;
+  }
   // Filtered early rejection: when c and d lie strictly on the same side of
   // line (a, b), or a and b strictly on the same side of line (c, d), the
   // closed segments are disjoint. These four orientation signs are exact
@@ -530,21 +662,6 @@ bool SameDirectionExact(const Point& u, const Point& v) {
 bool SameDirection(const Point& u, const Point& v) {
   if (tls_mode == PredicateMode::kExact) return SameDirectionExact(u, v);
   return CrossSignFiltered(u, v) == 0 && DotSignFiltered(u, v) > 0;
-}
-
-int CompareAlongDirectionExact(const Point& p, const Point& q,
-                               const Point& dir) {
-  return Dot(p - q, dir).sign();
-}
-
-int CompareAlongDirection(const Point& p, const Point& q, const Point& dir) {
-  return FilteredSign(
-      [&](int* s) { return StaticAlongSign(p, q, dir, s); },
-      [&](int* s) { return IntervalAlongSign(p, q, dir, s); },
-      [&](int* s) {
-        return ExpansionAlongSign(p.x, p.y, q.x, q.y, dir.x, dir.y, s);
-      },
-      [&] { return CompareAlongDirectionExact(p, q, dir); });
 }
 
 }  // namespace topodb

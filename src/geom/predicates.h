@@ -58,9 +58,11 @@ struct SegmentIntersection {
 };
 
 // Exact intersection of closed segments [a,b] and [c,d]. The filtered entry
-// point rejects the common disjoint case from orientation signs alone; any
-// pair that actually intersects falls through to exact rational arithmetic,
-// so reported intersection points are always exact.
+// point decides pairs of small-integer segments (every coordinate an integer
+// below 2^31 in magnitude) entirely in 128-bit integer arithmetic. Other
+// pairs are rejected from orientation signs alone when disjoint, and any
+// pair that actually intersects falls through to exact rational
+// arithmetic, so reported intersection points are always exact.
 SegmentIntersection IntersectSegments(const Point& a, const Point& b,
                                       const Point& c, const Point& d);
 SegmentIntersection IntersectSegmentsExact(const Point& a, const Point& b,
@@ -76,13 +78,6 @@ bool CcwDirectionLessExact(const Point& u, const Point& v);
 // True iff the two direction vectors are positive multiples of each other.
 bool SameDirection(const Point& u, const Point& v);
 bool SameDirectionExact(const Point& u, const Point& v);
-
-// Sign of Dot(p - q, dir): orders points along a carrier direction without
-// materializing the rational difference. This is the comparator used to
-// sort cut points along a segment.
-int CompareAlongDirection(const Point& p, const Point& q, const Point& dir);
-int CompareAlongDirectionExact(const Point& p, const Point& q,
-                               const Point& dir);
 
 // --- Filter observability ------------------------------------------------
 

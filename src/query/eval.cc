@@ -227,22 +227,24 @@ struct QueryEngine::QueryCaches {
   bool exhausted = false;
 };
 
-QueryEngine::QueryEngine(CellComplex complex) : complex_(std::move(complex)) {}
+QueryEngine::QueryEngine() = default;
 QueryEngine::QueryEngine(QueryEngine&&) noexcept = default;
 QueryEngine& QueryEngine::operator=(QueryEngine&&) noexcept = default;
 QueryEngine::~QueryEngine() = default;
 
 Result<QueryEngine> QueryEngine::Build(const SpatialInstance& instance) {
   TOPODB_ASSIGN_OR_RETURN(CellComplex complex, CellComplex::Build(instance));
-  QueryEngine engine(std::move(complex));
-  engine.BuildUniverse();
+  QueryEngine engine;
+  engine.BuildUniverse(complex);
   return engine;
 }
 
-void QueryEngine::BuildUniverse() {
-  nv_ = static_cast<int>(complex_.vertices().size());
-  ne_ = static_cast<int>(complex_.edges().size());
-  nf_ = static_cast<int>(complex_.faces().size());
+void QueryEngine::BuildUniverse(const CellComplex& complex) {
+  region_names_ = complex.region_names();
+  exterior_face_ = complex.exterior_face();
+  nv_ = static_cast<int>(complex.vertices().size());
+  ne_ = static_cast<int>(complex.edges().size());
+  nf_ = static_cast<int>(complex.faces().size());
   const int total = nv_ + ne_ + nf_;
   // Boundary cells per cell, excluding the cell itself.
   std::vector<std::vector<int>> closure(total);
@@ -260,7 +262,7 @@ void QueryEngine::BuildUniverse() {
   };
 
   for (int e = 0; e < ne_; ++e) {
-    auto [u, v] = complex_.EdgeEndpoints(e);
+    auto [u, v] = complex.EdgeEndpoints(e);
     closure[edge_cell(e)].push_back(u);
     if (v != u) closure[edge_cell(e)].push_back(v);
     add_incidence(edge_cell(e), u);
@@ -269,11 +271,11 @@ void QueryEngine::BuildUniverse() {
   // Face closures: edges (and their endpoints) on any of its cycles.
   for (int f = 0; f < nf_; ++f) {
     std::set<int> boundary;
-    for (int rep : complex_.faces()[f].cycle_darts) {
-      for (int d : complex_.FaceCycle(rep)) {
-        const int e = complex_.darts()[d].edge;
+    for (int rep : complex.faces()[f].cycle_darts) {
+      for (int d : complex.FaceCycle(rep)) {
+        const int e = complex.darts()[d].edge;
         boundary.insert(edge_cell(e));
-        auto [u, v] = complex_.EdgeEndpoints(e);
+        auto [u, v] = complex.EdgeEndpoints(e);
         boundary.insert(u);
         boundary.insert(v);
       }
@@ -285,7 +287,7 @@ void QueryEngine::BuildUniverse() {
   }
   // Face duals: the two sides of every edge.
   for (int e = 0; e < ne_; ++e) {
-    auto [lf, rf] = complex_.EdgeFaces(e);
+    auto [lf, rf] = complex.EdgeFaces(e);
     edge_faces_[e] = {lf, rf};
     if (lf != rf) {
       face_dual_[lf].push_back(rf);
@@ -304,9 +306,9 @@ void QueryEngine::BuildUniverse() {
   // Vertex incident faces from darts (faces of darts and of their twins).
   for (int v = 0; v < nv_; ++v) {
     std::set<int> faces;
-    for (int d : complex_.vertices()[v].darts) {
-      faces.insert(complex_.darts()[d].face);
-      faces.insert(complex_.darts()[complex_.darts()[d].twin].face);
+    for (int d : complex.vertices()[v].darts) {
+      faces.insert(complex.darts()[d].face);
+      faces.insert(complex.darts()[complex.darts()[d].twin].face);
     }
     vertex_faces_[v].assign(faces.begin(), faces.end());
     if (vertex_faces_[v].empty()) has_isolated_vertex_ = true;
@@ -338,22 +340,22 @@ void QueryEngine::BuildUniverse() {
     for (int b : closure[c]) closure_bits_[c].Set(b);
   }
   // Region values: cells with interior sign.
-  for (size_t r = 0; r < complex_.region_names().size(); ++r) {
+  for (size_t r = 0; r < region_names_.size(); ++r) {
     CellSet bits(total);
     for (int v = 0; v < nv_; ++v) {
-      if (complex_.vertices()[v].label[r] == Sign::kInterior) bits.Set(v);
+      if (complex.vertices()[v].label[r] == Sign::kInterior) bits.Set(v);
     }
     for (int e = 0; e < ne_; ++e) {
-      if (complex_.edges()[e].label[r] == Sign::kInterior) {
+      if (complex.edges()[e].label[r] == Sign::kInterior) {
         bits.Set(edge_cell(e));
       }
     }
     for (int f = 0; f < nf_; ++f) {
-      if (complex_.faces()[f].label[r] == Sign::kInterior) {
+      if (complex.faces()[f].label[r] == Sign::kInterior) {
         bits.Set(face_cell(f));
       }
     }
-    const std::string& name = complex_.region_names()[r];
+    const std::string& name = region_names_[r];
     region_closure_bits_[name] = ClosureBits(bits);
     region_bits_[name] = std::move(bits);
   }
@@ -411,7 +413,7 @@ bool QueryEngine::ComputeDiscValueBits(const CellSet& face_set,
   }
   // Sphere-complement connectivity (complement + point at infinity).
   {
-    const int exterior_cell = nv_ + ne_ + complex_.exterior_face();
+    const int exterior_cell = nv_ + ne_ + exterior_face_;
     const int complement = total - completed->Count() + 1;
     CellSet seen(total);
     std::vector<int> stack;
@@ -463,7 +465,7 @@ bool QueryEngine::FaceSetIsDisc(const CellSet& face_set) const {
         nf_ == 64 ? ~uint64_t{0} : (uint64_t{1} << nf_) - 1;
     const uint64_t unchosen = all & ~chosen;
     if (unchosen == 0) return true;  // Complement is the point at infinity.
-    const uint64_t ext_bit = uint64_t{1} << complex_.exterior_face();
+    const uint64_t ext_bit = uint64_t{1} << exterior_face_;
     if (chosen & ext_bit) return false;  // Infinity is cut off.
     reached = ext_bit;
     frontier = reached;
@@ -515,7 +517,7 @@ bool QueryEngine::FaceSetIsDisc(const CellSet& face_set) const {
   // face_adj_ext_ (plus the point at infinity on the exterior face).
   const int unchosen = nf_ - nchosen;
   if (unchosen == 0) return true;  // Complement is the point at infinity.
-  const int exterior = complex_.exterior_face();
+  const int exterior = exterior_face_;
   if (face_set.Test(exterior)) return false;  // Infinity is cut off.
   seen.assign(nf_, 0);
   stack.clear();
@@ -824,7 +826,7 @@ class BitsetEvaluator {
     const bool exists = formula.kind == Formula::Kind::kExists;
     switch (formula.var_kind) {
       case Formula::VarKind::kName: {
-        for (const std::string& name : engine_.complex_.region_names()) {
+        for (const std::string& name : engine_.region_names_) {
           if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
           ++bindings_;
           env->names[formula.var] = name;
@@ -926,7 +928,7 @@ Result<bool> QueryEngine::EvaluateParallel(const FormulaPtr& query,
   int64_t num_bindings = 0;
   switch (formula.var_kind) {
     case Formula::VarKind::kName:
-      num_bindings = static_cast<int64_t>(complex_.region_names().size());
+      num_bindings = static_cast<int64_t>(region_names_.size());
       break;
     case Formula::VarKind::kCell:
       num_bindings = static_cast<int64_t>(num_cells());
@@ -974,7 +976,7 @@ Result<bool> QueryEngine::EvaluateParallel(const FormulaPtr& query,
     BitsetEvaluator::Env env;
     switch (formula.var_kind) {
       case Formula::VarKind::kName:
-        env.names[formula.var] = complex_.region_names()[i];
+        env.names[formula.var] = region_names_[i];
         break;
       case Formula::VarKind::kCell: {
         BitsetEvaluator::Binding binding;

@@ -110,7 +110,9 @@ struct EvalOptions {
 // evaluations (see pipeline/query_batch.h).
 class QueryEngine {
  public:
-  // Builds the cell complex of the instance once; queries evaluate on it.
+  // Builds the cell complex of the instance once and derives the cell
+  // universe queries evaluate on. The engine keeps only that topology: the
+  // complex and its geometry are dropped once the universe is built.
   static Result<QueryEngine> Build(const SpatialInstance& instance);
 
   QueryEngine(QueryEngine&&) noexcept;
@@ -122,8 +124,6 @@ class QueryEngine {
   // Parse + evaluate.
   Result<bool> Evaluate(const std::string& query,
                         const EvalOptions& options = {}) const;
-
-  const CellComplex& complex() const { return complex_; }
 
   // Number of cells in the universe (vertices + edges + faces).
   size_t num_cells() const { return static_cast<size_t>(nv_ + ne_ + nf_); }
@@ -168,8 +168,8 @@ class QueryEngine {
  private:
   friend class BitsetEvaluator;
 
-  explicit QueryEngine(CellComplex complex);
-  void BuildUniverse();
+  QueryEngine();
+  void BuildUniverse(const CellComplex& complex);
 
   // One materialized region-quantifier candidate: the completed open-disc
   // cell set, its topological closure, and the 1-based index of the raw
@@ -230,7 +230,8 @@ class QueryEngine {
   // there are legal and simply compare unequal.
   Status ValidateAtomNames(const Formula& query) const;
 
-  CellComplex complex_;
+  std::vector<std::string> region_names_;  // Sorted, as in the complex.
+  int exterior_face_ = 0;  // Face index of the complex's unbounded face.
   // Cell ids: [0, nv) vertices, [nv, nv+ne) edges, [nv+ne, nv+ne+nf) faces.
   int nv_ = 0, ne_ = 0, nf_ = 0;
   std::vector<std::vector<int>> incidence_;  // Symmetric incidence graph.

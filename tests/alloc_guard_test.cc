@@ -115,7 +115,6 @@ TEST(AllocGuardTest, SmallIntegerPredicatesAreAllocationFree) {
       sink = sink + (StrictlyInsideSegment(col, a, b) ? 1 : 0);
       sink = sink + (CcwDirectionLess(u, v) ? 1 : 0);
       sink = sink + (SameDirection(u, v) ? 1 : 0);
-      sink = sink + CompareAlongDirection(a, c, u);
     }
   });
   EXPECT_EQ(n, 0u) << "small-integer predicate path hit the allocator";
@@ -135,6 +134,29 @@ TEST(AllocGuardTest, SmallIntegerSegmentIntersectionIsAllocationFree) {
     }
   });
   EXPECT_EQ(n, 0u) << "small-integer segment intersection hit the allocator";
+}
+
+TEST(AllocGuardTest, IntegerStageIntersectionsAreAllocationFree) {
+  // The small-integer stage of IntersectSegments builds its answer in
+  // 128-bit integers: a crossing with a non-integer point (one gcd per
+  // coordinate, numerators up to four limbs), a T-junction touch and a
+  // collinear overlap, all at coordinates near the stage's 2^31 bound.
+  const int64_t m = (int64_t{1} << 31) - 1;
+  const Point a(-m, -m + 1), b(m, m - 3), c(-m + 5, m), d(m - 7, -m);
+  const Point e(0, 0), f(10, 0), g(4, 0), h(4, 7);
+  const Point i(-m, -m), j(m, m), k(0, 0), l(m, m);
+  volatile int sink = 0;
+  const uint64_t n = AllocationsIn([&] {
+    for (int r = 0; r < 100; ++r) {
+      const SegmentIntersection cross = IntersectSegments(a, b, c, d);
+      const SegmentIntersection touch = IntersectSegments(e, f, g, h);
+      const SegmentIntersection overlap = IntersectSegments(i, j, k, l);
+      sink = sink + static_cast<int>(cross.kind) +
+             static_cast<int>(touch.kind) + static_cast<int>(overlap.kind) +
+             cross.p0.x.sign() + overlap.p1.y.sign();
+    }
+  });
+  EXPECT_EQ(n, 0u) << "integer-stage segment intersection hit the allocator";
 }
 
 TEST(AllocGuardTest, ExpansionStagePredicatesAreAllocationFree) {

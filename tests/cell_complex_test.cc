@@ -4,10 +4,15 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/geom/predicates.h"
 #include "src/region/fixtures.h"
+#include "src/region/transform.h"
+#include "src/workload/generators.h"
 
 namespace topodb {
 namespace {
@@ -369,6 +374,165 @@ TEST(CellComplexTest, ArenaBuildsAreBitIdentical) {
   EXPECT_EQ(with_arena, exact);
   EXPECT_EQ(with_arena, exact_arena_requested);
   EXPECT_NE(with_arena.find("vertices"), std::string::npos);
+}
+
+// --- Cut order along each segment -------------------------------------------
+//
+// The builder orders the cut points of a segment lexicographically, which
+// is the order along the segment only because every cut point lies exactly
+// on it. This oracle orders them the direct way instead: by the exact
+// rational parameter Dot(p - a, b - a) along each boundary segment [a, b],
+// with the cut points recomputed here from IntersectSegmentsExact. The
+// consecutive cut points of every segment are the pieces of the overlay,
+// and the complex's edge chains must consist of exactly those pieces, so a
+// wrong cut order on any segment shows up as a missing or extra piece.
+
+using Piece = std::pair<Point, Point>;
+
+Piece MakePiece(const Point& p, const Point& q) {
+  return p < q ? Piece(p, q) : Piece(q, p);
+}
+
+std::set<Piece> OraclePieces(const SpatialInstance& instance) {
+  std::vector<std::pair<Point, Point>> segments;
+  for (const auto& [name, region] : instance.regions()) {
+    const Polygon& poly = region.boundary();
+    for (size_t i = 0; i < poly.size(); ++i) {
+      segments.emplace_back(poly.vertex(i), poly.vertex((i + 1) % poly.size()));
+    }
+  }
+  std::set<Piece> pieces;
+  for (const auto& [a, b] : segments) {
+    std::vector<Point> cuts = {a, b};
+    for (const auto& [c, d] : segments) {
+      const SegmentIntersection isect = IntersectSegmentsExact(a, b, c, d);
+      if (isect.kind == SegmentIntersection::Kind::kNone) continue;
+      cuts.push_back(isect.p0);
+      if (isect.kind == SegmentIntersection::Kind::kOverlap) {
+        cuts.push_back(isect.p1);
+      }
+    }
+    const Point dir = b - a;
+    std::sort(cuts.begin(), cuts.end(), [&](const Point& p, const Point& q) {
+      return Dot(p - a, dir) < Dot(q - a, dir);
+    });
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+      pieces.insert(MakePiece(cuts[k], cuts[k + 1]));
+    }
+  }
+  return pieces;
+}
+
+std::set<Piece> ChainPieces(const CellComplex& complex) {
+  std::set<Piece> pieces;
+  for (const auto& edge : complex.edges()) {
+    for (size_t k = 0; k + 1 < edge.chain.size(); ++k) {
+      pieces.insert(MakePiece(edge.chain[k], edge.chain[k + 1]));
+    }
+  }
+  return pieces;
+}
+
+void ExpectCutOrderMatchesOracle(const SpatialInstance& instance) {
+  const std::set<Piece> expected = OraclePieces(instance);
+  for (const bool exact : {false, true}) {
+    ArrangementOptions options;
+    options.exact_predicates = exact;
+    Result<CellComplex> complex = CellComplex::Build(instance, options);
+    ASSERT_TRUE(complex.ok()) << complex.status().ToString();
+    EXPECT_EQ(ChainPieces(*complex), expected)
+        << (exact ? "exact" : "filtered") << " build of\n"
+        << complex->DebugString();
+  }
+}
+
+// Random triangles over a small grid: vertical edges (dir.x == 0),
+// leftward and diagonal edges in every orientation, and crossings with
+// non-integer coordinates.
+SpatialInstance RandomTriangles(SplitMix64& rng, int count) {
+  SpatialInstance instance;
+  int made = 0;
+  while (made < count) {
+    const auto coord = [&] { return static_cast<int64_t>(rng.Below(13)); };
+    Point a(coord(), coord()), b(coord(), coord()), c(coord(), coord());
+    if (rng.Below(3) == 0) b = Point(a.x, b.y);  // Force a vertical edge.
+    if (OrientationExact(a, b, c) == 0) continue;
+    Result<Region> region = Region::MakePoly({a, b, c});
+    if (!region.ok()) continue;
+    std::string name = "T";
+    name += std::to_string(made);
+    const Status added = instance.AddRegion(name, *region);
+    EXPECT_TRUE(added.ok()) << added.ToString();
+    ++made;
+  }
+  return instance;
+}
+
+TEST(CellComplexCutOrderTest, RandomTrianglesMatchExactParameterOrder) {
+  SplitMix64 rng(0xc07);
+  int vertical = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const SpatialInstance instance =
+        RandomTriangles(rng, 2 + static_cast<int>(rng.Below(4)));
+    for (const auto& [name, region] : instance.regions()) {
+      const Polygon& poly = region.boundary();
+      for (size_t i = 0; i < poly.size(); ++i) {
+        if (poly.vertex(i).x == poly.vertex((i + 1) % poly.size()).x) {
+          ++vertical;
+        }
+      }
+    }
+    ExpectCutOrderMatchesOracle(instance);
+  }
+  EXPECT_GT(vertical, 0);
+}
+
+TEST(CellComplexCutOrderTest, SharedCarrierLinesMatchExactParameterOrder) {
+  // Rectangles whose sides run along common carrier lines: collinear
+  // overlaps put several cut points of different segments on one line.
+  // The stretched images carry non-integer coordinates, which the
+  // small-integer intersection stage does not take.
+  BigInt factor = BigInt(1).ShiftLeft(64);
+  const AffineTransform stretch = *AffineTransform::Make(
+      Rational(factor, BigInt(3)), 0, Rational(BigInt(7), factor), 0,
+      Rational(factor, BigInt(5)), Rational(1, 3));
+  const SpatialInstance instances[] = {
+      *RectGridInstance(2, 3), *NestedRingsInstance(3), *ChainInstance(4),
+      *RandomRectInstance(6, 8, 5), *RandomRectInstance(8, 12, 6)};
+  for (const SpatialInstance& instance : instances) {
+    ExpectCutOrderMatchesOracle(instance);
+    ExpectCutOrderMatchesOracle(*stretch.ApplyToInstance(instance));
+  }
+}
+
+TEST(CellComplexCutOrderTest, NearCoincidentCutPointsStayDistinct) {
+  // Cut points on one carrier line that differ by 2^-60 in the other
+  // coordinate: a vertex at the integer point (0, 1) and a crossing at
+  // (0, 1 + 2^-60). The integer's enclosure is a point, the crossing's is
+  // not, and they overlap, so only the rationals can order the two. The
+  // transposed instance puts the pair on a horizontal line.
+  const Rational e(BigInt(1), BigInt(1).ShiftLeft(60));
+  for (const bool transpose : {false, true}) {
+    const auto at = [&](const Rational& x, const Rational& y) {
+      return transpose ? Point(y, x) : Point(x, y);
+    };
+    SpatialInstance instance;
+    // A's left side runs along x = 0; B touches it at (0, 1); C's lower
+    // edge crosses it at (0, 1 + e) and its upper edge at (0, 2 + e).
+    const std::vector<Point> a = {at(0, 0), at(4, 0), at(4, 4), at(0, 4)};
+    const std::vector<Point> b = {at(-2, 0), at(0, 1), at(-2, 2)};
+    const std::vector<Point> c = {at(-1, 1), at(1, Rational(1) + e + e),
+                                  at(-1, 3)};
+    ASSERT_TRUE(instance.AddRegion("A", *Region::MakePoly(a)).ok());
+    ASSERT_TRUE(instance.AddRegion("B", *Region::MakePoly(b)).ok());
+    ASSERT_TRUE(instance.AddRegion("C", *Region::MakePoly(c)).ok());
+    ExpectCutOrderMatchesOracle(instance);
+    ArrangementOptions exact;
+    exact.exact_predicates = true;
+    EXPECT_EQ(CellComplex::Build(instance)->DebugString(),
+              CellComplex::Build(instance, exact)->DebugString());
+  }
 }
 
 }  // namespace

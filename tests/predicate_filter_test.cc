@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "src/base/rational.h"
 #include "src/geom/point.h"
 #include "src/geom/predicates.h"
+#include "src/workload/generators.h"
 
 namespace topodb {
 namespace {
@@ -36,8 +38,6 @@ void ExpectAllPredicatesAgree(const Point& a, const Point& b, const Point& c,
     EXPECT_EQ(CcwDirectionLess(u, v), CcwDirectionLessExact(u, v));
     EXPECT_EQ(CcwDirectionLess(v, u), CcwDirectionLessExact(v, u));
     EXPECT_EQ(SameDirection(u, v), SameDirectionExact(u, v));
-    EXPECT_EQ(CompareAlongDirection(a, c, u),
-              CompareAlongDirectionExact(a, c, u));
   }
   const SegmentIntersection filtered = IntersectSegments(a, b, c, d);
   const SegmentIntersection exact = IntersectSegmentsExact(a, b, c, d);
@@ -185,6 +185,251 @@ TEST(PredicateFilterDifferentialTest, RandomSegmentPairsAndDegeneracies) {
     ExpectAllPredicatesAgree(a, b, mid, c);  // T-junction at 1/3.
     ExpectAllPredicatesAgree(a, b, mid, mid);
   }
+}
+
+// --- The small-integer stage of IntersectSegments ---------------------------
+//
+// Pairs whose eight coordinates are integers below 2^31 in magnitude are
+// decided in 128-bit integers. Every family below compares kind, p0 and p1
+// with IntersectSegmentsExact, bit for bit, and checks which path decided
+// the pair: the integer stage records exactly one decision, while the
+// orientation path records at least two.
+
+constexpr int64_t kMaxSmall = (int64_t{1} << 31) - 1;
+
+uint64_t Decisions() {
+  const PredicateFilterStats& s = LocalPredicateFilterStats();
+  return s.static_hits + s.interval_hits + s.expansion_hits +
+         s.exact_fallbacks;
+}
+
+std::string CanonicalText(const Point& p) {
+  return p.x.num().ToString() + "/" + p.x.den().ToString() + "," +
+         p.y.num().ToString() + "/" + p.y.den().ToString();
+}
+
+// Returns the number of filter decisions the filtered call made; *kind
+// (optional) receives the exact answer's kind.
+uint64_t ExpectSameIntersection(const Point& a, const Point& b, const Point& c,
+                                const Point& d,
+                                SegmentIntersection::Kind* kind = nullptr) {
+  const uint64_t before = Decisions();
+  const SegmentIntersection filtered = IntersectSegments(a, b, c, d);
+  const uint64_t decisions = Decisions() - before;
+  const SegmentIntersection exact = IntersectSegmentsExact(a, b, c, d);
+  if (kind != nullptr) *kind = exact.kind;
+  const std::string pair = a.ToString() + "-" + b.ToString() + " x " +
+                           c.ToString() + "-" + d.ToString();
+  EXPECT_EQ(static_cast<int>(filtered.kind), static_cast<int>(exact.kind))
+      << pair;
+  if (filtered.kind == exact.kind &&
+      exact.kind != SegmentIntersection::Kind::kNone) {
+    EXPECT_EQ(CanonicalText(filtered.p0), CanonicalText(exact.p0)) << pair;
+    if (exact.kind == SegmentIntersection::Kind::kOverlap) {
+      EXPECT_EQ(CanonicalText(filtered.p1), CanonicalText(exact.p1)) << pair;
+    }
+  }
+  return decisions;
+}
+
+// Kinds of the pairs a test family produced, so each family can assert
+// that it covers the outcomes it is meant to.
+struct KindCounts {
+  int none = 0, point = 0, overlap = 0;
+  void Add(SegmentIntersection::Kind kind) {
+    switch (kind) {
+      case SegmentIntersection::Kind::kNone: ++none; break;
+      case SegmentIntersection::Kind::kPoint: ++point; break;
+      case SegmentIntersection::Kind::kOverlap: ++overlap; break;
+    }
+  }
+};
+
+// Asserts the pair was decided by the integer stage, in both argument
+// orders and with both segments reversed.
+void ExpectIntegerStage(const Point& a, const Point& b, const Point& c,
+                        const Point& d, KindCounts* counts = nullptr) {
+  SegmentIntersection::Kind kind;
+  EXPECT_EQ(ExpectSameIntersection(a, b, c, d, &kind), 1u);
+  EXPECT_EQ(ExpectSameIntersection(c, d, a, b), 1u);
+  EXPECT_EQ(ExpectSameIntersection(b, a, d, c), 1u);
+  if (counts != nullptr) counts->Add(kind);
+}
+
+int64_t Signed(SplitMix64& rng, int64_t bound) {
+  return static_cast<int64_t>(rng.Below(2 * static_cast<uint64_t>(bound) + 1)) -
+         bound;
+}
+
+TEST(IntegerIntersectionStageTest, RandomSmallIntegers) {
+  SplitMix64 rng(0x5e61);
+  KindCounts counts;
+  for (const int64_t bound : {int64_t{3}, int64_t{1000}, kMaxSmall}) {
+    for (int iter = 0; iter < 400; ++iter) {
+      const Point a(Signed(rng, bound), Signed(rng, bound));
+      const Point b(Signed(rng, bound), Signed(rng, bound));
+      const Point c(Signed(rng, bound), Signed(rng, bound));
+      const Point d(Signed(rng, bound), Signed(rng, bound));
+      ExpectIntegerStage(a, b, c, d, &counts);
+    }
+  }
+  EXPECT_GT(counts.none, 0);
+  EXPECT_GT(counts.point, 0);
+}
+
+TEST(IntegerIntersectionStageTest, AxisAlignedCrossingsAndTJunctions) {
+  SplitMix64 rng(0x5e62);
+  KindCounts counts;
+  for (int iter = 0; iter < 400; ++iter) {
+    // Horizontal [x0, x1] at height y; vertical [y0, y1] at abscissa x.
+    // Small ranges make crossings, T-junctions, corner touches and misses
+    // all common.
+    const int64_t y = Signed(rng, 4), x = Signed(rng, 4);
+    const int64_t x0 = Signed(rng, 4), x1 = Signed(rng, 4);
+    const int64_t y0 = Signed(rng, 4), y1 = Signed(rng, 4);
+    const Point h0(x0, y), h1(x1 == x0 ? x0 + 1 : x1, y);
+    const Point v0(x, y0), v1(x, y1 == y0 ? y0 + 1 : y1);
+    ExpectIntegerStage(h0, h1, v0, v1, &counts);
+  }
+  EXPECT_GT(counts.none, 0);
+  EXPECT_GT(counts.point, 0);
+  // Explicit T-junctions: the stem ends on the bar's interior, at either
+  // end of the stem.
+  ExpectIntegerStage(Point(0, 0), Point(10, 0), Point(4, 0), Point(4, 7));
+  ExpectIntegerStage(Point(0, 0), Point(10, 0), Point(4, -7), Point(4, 0));
+  ExpectIntegerStage(Point(0, 0), Point(0, 10), Point(0, 3), Point(-5, 3));
+}
+
+TEST(IntegerIntersectionStageTest, SharedEndpoints) {
+  SplitMix64 rng(0x5e63);
+  for (int iter = 0; iter < 300; ++iter) {
+    const Point a(Signed(rng, 50), Signed(rng, 50));
+    const Point b(Signed(rng, 50), Signed(rng, 50));
+    const Point c(Signed(rng, 50), Signed(rng, 50));
+    ExpectIntegerStage(a, b, b, c);
+    ExpectIntegerStage(a, b, a, c);
+    ExpectIntegerStage(a, b, a, b);  // Identical segments.
+    ExpectIntegerStage(a, b, b, a);  // Identical, reversed.
+  }
+}
+
+TEST(IntegerIntersectionStageTest, CollinearOverlapsAndTouches) {
+  SplitMix64 rng(0x5e64);
+  KindCounts counts;
+  const Point dirs[] = {{1, 0}, {0, 1}, {1, 1}, {3, -7}, {-5, 2}};
+  for (const Point& dir : dirs) {
+    for (int iter = 0; iter < 100; ++iter) {
+      const Point origin(Signed(rng, 100), Signed(rng, 100));
+      const auto at = [&](int64_t k) { return origin + dir * Rational(k); };
+      // Parameters in a small range: overlaps, containment, end-to-end
+      // touches and gaps all occur.
+      const int64_t k0 = Signed(rng, 4), k1 = Signed(rng, 4);
+      const int64_t k2 = Signed(rng, 4), k3 = Signed(rng, 4);
+      ExpectIntegerStage(at(k0), at(k1 == k0 ? k0 + 1 : k1), at(k2),
+                         at(k3 == k2 ? k2 - 1 : k3), &counts);
+    }
+  }
+  EXPECT_GT(counts.none, 0);
+  EXPECT_GT(counts.point, 0);
+  EXPECT_GT(counts.overlap, 0);
+  // End-to-end touch and a one-sided containment, spelled out.
+  ExpectIntegerStage(Point(0, 0), Point(2, 2), Point(2, 2), Point(5, 5));
+  ExpectIntegerStage(Point(0, 0), Point(6, 0), Point(2, 0), Point(6, 0));
+}
+
+TEST(IntegerIntersectionStageTest, PointSegments) {
+  SplitMix64 rng(0x5e65);
+  KindCounts counts;
+  for (int iter = 0; iter < 300; ++iter) {
+    const Point c(Signed(rng, 20), Signed(rng, 20));
+    const Point dir(Signed(rng, 3), Signed(rng, 3));
+    const Point d = c + dir * Rational(2);
+    // On the segment (k = 0..2), on its line outside it (k = 3), or off
+    // the line.
+    const int64_t k = static_cast<int64_t>(rng.Below(4));
+    const Point on = c + dir * Rational(k);
+    const Point off(on.x + Rational(1), on.y);
+    ExpectIntegerStage(on, on, c, d, &counts);
+    ExpectIntegerStage(off, off, c, d, &counts);
+    ExpectIntegerStage(c, c, c, c);
+    ExpectIntegerStage(on, on, off, off);
+  }
+  EXPECT_GT(counts.none, 0);
+  EXPECT_GT(counts.point, 0);
+}
+
+TEST(IntegerIntersectionStageTest, ParallelDisjointPairs) {
+  SplitMix64 rng(0x5e66);
+  KindCounts counts;
+  for (int iter = 0; iter < 300; ++iter) {
+    const Point a(Signed(rng, 100), Signed(rng, 100));
+    Point dir(Signed(rng, 5), Signed(rng, 5));
+    if (dir.x.is_zero() && dir.y.is_zero()) dir = Point(1, 0);
+    // An offset across the carrier line: the cross product with dir is
+    // nonzero, so the carriers are distinct parallels.
+    const Point off =
+        Point(-dir.y, dir.x) * Rational(1 + static_cast<int64_t>(rng.Below(3)));
+    const Point c = a + off;
+    const Point shift = dir * Rational(Signed(rng, 3));
+    ExpectIntegerStage(a, a + dir, c + shift, c + shift + dir, &counts);
+  }
+  EXPECT_EQ(counts.none, 300);
+}
+
+TEST(IntegerIntersectionStageTest, ExtremeCoordinatesAtTheBound) {
+  const int64_t m = kMaxSmall;
+  // Diagonals of the largest box the stage takes: they cross at the
+  // origin, with 2^64-scale cross products.
+  ExpectIntegerStage(Point(-m, -m), Point(m, m), Point(-m, m), Point(m, -m));
+  // Skewed near-extreme segments: a non-integer crossing whose reduced
+  // numerators run to ~2^97 before reduction.
+  ExpectIntegerStage(Point(-m, -m + 1), Point(m, m - 3), Point(-m + 5, m),
+                     Point(m - 7, -m));
+  ExpectIntegerStage(Point(-m, 0), Point(m, 1), Point(0, -m), Point(1, m));
+  // Collinear overlap along the full extent of the bound.
+  ExpectIntegerStage(Point(-m, -m), Point(m, m), Point(0, 0), Point(m, m));
+  SplitMix64 rng(0x5e67);
+  for (int iter = 0; iter < 400; ++iter) {
+    // Coordinates drawn from the extremes and their neighbours.
+    const auto coord = [&] {
+      const int64_t near[] = {-m, -m + 1, -1, 0, 1, m - 1, m};
+      return near[rng.Below(7)];
+    };
+    ExpectIntegerStage(Point(coord(), coord()), Point(coord(), coord()),
+                       Point(coord(), coord()), Point(coord(), coord()));
+  }
+}
+
+TEST(IntegerIntersectionStageTest, CoordinatesPastTheBoundFallThrough) {
+  // +-2^31 is one past the stage's range: every such pair takes the
+  // orientation path (at least two decisions) and still matches the
+  // rational evaluation.
+  const int64_t big = int64_t{1} << 31;
+  const int64_t m = kMaxSmall;
+  const Point cases[][4] = {
+      {{-big, -m}, {m, m}, {-m, m}, {m, -m}},
+      {{-m, -m}, {m, m}, {-m, big}, {m, -m}},
+      {{0, 0}, {big, 0}, {5, -5}, {5, 5}},
+      {{0, 0}, {big, 0}, {7, 0}, {9, 0}},
+      {{-big, -big}, {big, big}, {0, 0}, {1, 1}},
+  };
+  for (const auto& q : cases) {
+    EXPECT_GE(ExpectSameIntersection(q[0], q[1], q[2], q[3]), 2u);
+    EXPECT_GE(ExpectSameIntersection(q[2], q[3], q[0], q[1]), 2u);
+  }
+  // Non-integer coordinates fall through too, however small.
+  const Point half(Rational(1, 2), Rational(0));
+  EXPECT_GE(ExpectSameIntersection(half, Point(4, 4), Point(0, 4), Point(4, 0)),
+            2u);
+}
+
+TEST(IntegerIntersectionStageTest, ExactModeNeverEntersTheStage) {
+  ScopedPredicateMode exact(PredicateMode::kExact);
+  const uint64_t before = Decisions();
+  const SegmentIntersection hit =
+      IntersectSegments(Point(0, 0), Point(4, 4), Point(0, 4), Point(4, 0));
+  EXPECT_EQ(hit.kind, SegmentIntersection::Kind::kPoint);
+  EXPECT_EQ(Decisions(), before);
 }
 
 TEST(PredicateFilterStatsTest, StagesActuallyResolveWork) {

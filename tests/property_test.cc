@@ -4,6 +4,8 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -239,6 +241,85 @@ TEST(FilteredExactDifferentialTest, GeneratorFamilies) {
     ASSERT_TRUE(with_filter.ok());
     ASSERT_TRUE(with_exact.ok());
     EXPECT_EQ(with_filter->DebugString(), with_exact->DebugString());
+  }
+}
+
+SpatialInstance RectsInstance(
+    const std::vector<std::pair<Point, Point>>& rects) {
+  SpatialInstance instance;
+  for (size_t i = 0; i < rects.size(); ++i) {
+    std::string name = "R";
+    name += std::to_string(i);
+    const Status added = instance.AddRegion(
+        name, *Region::MakeRect(rects[i].first, rects[i].second));
+    EXPECT_TRUE(added.ok()) << added.ToString();
+  }
+  return instance;
+}
+
+void ExpectFilteredMatchesExact(const SpatialInstance& instance) {
+  ArrangementOptions exact;
+  exact.exact_predicates = true;
+  Result<CellComplex> with_filter = CellComplex::Build(instance);
+  Result<CellComplex> with_exact = CellComplex::Build(instance, exact);
+  ASSERT_TRUE(with_filter.ok());
+  ASSERT_TRUE(with_exact.ok());
+  EXPECT_EQ(with_filter->DebugString(), with_exact->DebugString());
+}
+
+// Rectangles whose sides lie on common carrier lines: nested rectangles
+// sharing one, two or three sides with their container, and grids of
+// abutting cells overlaid with strips along the grid lines. Every shared
+// side is a collinear overlap, so several segments cut one line.
+TEST(FilteredExactDifferentialTest, RectanglesSharingCarrierLines) {
+  SplitMix64 rng(0xca77);
+  for (int iter = 0; iter < 20; ++iter) {
+    std::vector<std::pair<Point, Point>> nested;
+    int64_t x0 = 0, y0 = 0, x1 = 16, y1 = 16;
+    for (int depth = 0; depth < 4; ++depth) {
+      nested.emplace_back(Point(x0, y0), Point(x1, y1));
+      // Shrink some sides and keep the others on the container's lines.
+      if (rng.Below(2)) x0 += 1 + static_cast<int64_t>(rng.Below(2));
+      if (rng.Below(2)) y0 += 1 + static_cast<int64_t>(rng.Below(2));
+      if (rng.Below(2)) x1 -= 1 + static_cast<int64_t>(rng.Below(2));
+      if (rng.Below(2)) y1 -= 1 + static_cast<int64_t>(rng.Below(2));
+    }
+    ExpectFilteredMatchesExact(RectsInstance(nested));
+
+    std::vector<std::pair<Point, Point>> grid;
+    const int64_t cell = 2 + static_cast<int64_t>(rng.Below(3));
+    for (int64_t i = 0; i < 3; ++i) {
+      for (int64_t j = 0; j < 2; ++j) {
+        grid.emplace_back(Point(i * cell, j * cell),
+                          Point((i + 1) * cell, (j + 1) * cell));
+      }
+    }
+    const int64_t line = cell * static_cast<int64_t>(rng.Below(3));
+    grid.emplace_back(Point(line, -1), Point(line + cell, 2 * cell + 1));
+    grid.emplace_back(Point(-1, cell), Point(3 * cell + 1, 2 * cell));
+    ExpectFilteredMatchesExact(RectsInstance(grid));
+  }
+}
+
+// Triangles over a small grid: crossings at non-integer points, vertical
+// and leftward edges, shared vertices and T-joints.
+TEST(FilteredExactDifferentialTest, TrianglesWithNonIntegerCrossings) {
+  SplitMix64 rng(0x7a1);
+  for (int iter = 0; iter < 40; ++iter) {
+    SpatialInstance instance;
+    const int count = 2 + static_cast<int>(rng.Below(4));
+    for (int made = 0; made < count;) {
+      const auto coord = [&] { return static_cast<int64_t>(rng.Below(11)); };
+      const Point a(coord(), coord()), b(coord(), coord()), c(coord(), coord());
+      Result<Region> region = Region::MakePoly({a, b, c});
+      if (!region.ok()) continue;  // Collinear corners.
+      std::string name = "T";
+      name += std::to_string(made);
+      const Status added = instance.AddRegion(name, *region);
+      EXPECT_TRUE(added.ok()) << added.ToString();
+      ++made;
+    }
+    ExpectFilteredMatchesExact(instance);
   }
 }
 

@@ -98,7 +98,8 @@ void ExpectStrategiesAgree(const QueryEngine& engine,
 TEST(QueryDiffTest, StrategiesAgreeOnGenericCorpus) {
   for (const SpatialInstance& instance : DiffWorkload()) {
     QueryEngine engine = *QueryEngine::Build(instance);
-    const QueryReference reference(engine.complex());
+    const CellComplex complex = *CellComplex::Build(instance);
+    const QueryReference reference(complex);
     for (const char* query : kGenericQueries) {
       ExpectStrategiesAgree(engine, reference, query);
     }
@@ -112,7 +113,8 @@ TEST(QueryDiffTest, StrategiesAgreeOnPaperExamples) {
   };
   for (SpatialInstance instance : {Fig1aInstance(), Fig1bInstance()}) {
     QueryEngine engine = *QueryEngine::Build(instance);
-    const QueryReference reference(engine.complex());
+    const CellComplex complex = *CellComplex::Build(instance);
+    const QueryReference reference(complex);
     for (const char* query : queries) {
       ExpectStrategiesAgree(engine, reference, query);
     }
@@ -126,7 +128,8 @@ TEST(QueryDiffTest, StrategiesAgreeOnPaperExamples) {
 TEST(QueryDiffTest, PlannedMatchesUnplannedAcrossStrategiesAndWorkload) {
   for (const SpatialInstance& instance : DiffWorkload()) {
     QueryEngine engine = *QueryEngine::Build(instance);
-    const QueryReference reference(engine.complex());
+    const CellComplex complex = *CellComplex::Build(instance);
+    const QueryReference reference(complex);
     for (const char* query : kGenericQueries) {
       for (const bool plan : {false, true}) {
         EvalOptions options;
@@ -146,7 +149,8 @@ TEST(QueryDiffTest, BudgetErrorPointsAreStrategyIndependent) {
   for (SpatialInstance instance :
        {Fig1aInstance(), NestedInstance(), *CombInstance(2)}) {
     QueryEngine engine = *QueryEngine::Build(instance);
-    const QueryReference reference(engine.complex());
+    const CellComplex complex = *CellComplex::Build(instance);
+    const QueryReference reference(complex);
     for (int64_t budget = 1; budget <= 12; ++budget) {
       EvalOptions options;
       options.max_region_candidates = budget;
@@ -171,7 +175,8 @@ TEST(QueryDiffTest, BudgetErrorMessageNamesTheLimit) {
 
 TEST(QueryDiffTest, EnumerationStepsErrorPointsAreStrategyIndependent) {
   QueryEngine engine = *QueryEngine::Build(Fig1bInstance());
-  const QueryReference reference(engine.complex());
+  const CellComplex complex = *CellComplex::Build(Fig1bInstance());
+  const QueryReference reference(complex);
   for (int64_t steps : {int64_t{1}, int64_t{7}, int64_t{50}, int64_t{400}}) {
     EvalOptions options;
     options.max_enumeration_steps = steps;
@@ -215,8 +220,9 @@ TEST(QueryDiffTest, DiscValueOverloadsAgreeOnAllFaceSubsets) {
         DisjointPairInstance(), *CombInstance(2),
         *RandomRectInstance(4, 40, 11)}) {
     QueryEngine engine = *QueryEngine::Build(instance);
-    const QueryReference reference(engine.complex());
-    const int nf = static_cast<int>(engine.complex().faces().size());
+    const CellComplex complex = *CellComplex::Build(instance);
+    const QueryReference reference(complex);
+    const int nf = static_cast<int>(complex.faces().size());
     ASSERT_LE(nf, 16) << "subset sweep would explode";
     for (uint32_t bits = 0; bits < (uint32_t{1} << nf); ++bits) {
       std::vector<char> face_set(nf, 0);
@@ -259,7 +265,7 @@ TEST(QueryDiffTest, CompletedVerticesMatchIncidentFaceRule) {
   for (SpatialInstance instance :
        {Fig1aInstance(), NestedInstance(), *CombInstance(2)}) {
     QueryEngine engine = *QueryEngine::Build(instance);
-    const CellComplex& complex = engine.complex();
+    const CellComplex complex = *CellComplex::Build(instance);
     const int nv = static_cast<int>(complex.vertices().size());
     const int ne = static_cast<int>(complex.edges().size());
     const int nf = static_cast<int>(complex.faces().size());

@@ -393,7 +393,8 @@ TEST(QueryTest, DiscValueChecker) {
   // are [B-inner disc, annulus(A minus B), exterior] in some order.
   Result<QueryEngine> engine = QueryEngine::Build(NestedInstance());
   ASSERT_TRUE(engine.ok());
-  const auto& faces = engine->complex().faces();
+  const CellComplex complex = *CellComplex::Build(NestedInstance());
+  const auto& faces = complex.faces();
   ASSERT_EQ(faces.size(), 3u);
   int annulus = -1, inner = -1, outer = -1;
   for (size_t f = 0; f < faces.size(); ++f) {
